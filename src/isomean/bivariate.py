@@ -43,7 +43,7 @@ from .expr import (
     var,
 )
 from .frame import GeneratorMap, generator_map, make_frame
-from .funmean import MeanProblem, _value_axis_window, dvi_mean
+from .funmean import MeanProblem, _as_map, _value_axis_window, class_V_mean, dvi_mean
 from .intervals import Interval
 from .parse import parse
 from .quadrature import integrate
@@ -127,22 +127,10 @@ def quasi_stolarsky(params: QuasiStolarskyParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _as_map(source, domain: Interval) -> GeneratorMap:
-    if isinstance(source, GeneratorMap):
-        return source
-    return generator_map(source, domain)
-
-
 def classV_bivariate(g, h, a: float, b: float) -> float:
     """Mean of the identity under the pair (g, h): a mean of a and b."""
     a, b = float(a), float(b)
-    if a == b:
-        return a
-    lo, hi = (a, b) if a <= b else (b, a)
-    d = Interval(lo, hi)
-    gm = _as_map(g, d)
-    hm = _as_map(h, d)
-    return dvi_mean(MeanProblem(var(), d, make_frame((gm, hm)))).value
+    return a if a == b else class_V_mean(g, h, a, b).value
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,13 @@ def sample_grid(d: Interval, n: int = DEFAULT_SAMPLES) -> np.ndarray:
         tlo = eps if d.lo_open else 0.0
         thi = eps if d.hi_open else 0.0
         t = tlo + t * (1.0 - tlo - thi)
-        return lo + t * (hi - lo)
+        xs = lo + t * (hi - lo)
+        # lo + 1.0·(hi − lo) can round past hi; closed ends are sampled exactly.
+        if not d.lo_open:
+            xs[0] = lo
+        if not d.hi_open:
+            xs[-1] = hi
+        return xs
     t = eps + t * (1.0 - 2 * eps)
     if lo_inf and hi_inf:
         s = 2.0 * t - 1.0

@@ -23,10 +23,11 @@ Subcommands
 
 Exit codes
 ----------
-0 success; 1 verification failure or a comparison whose numeric cross-check
-contradicts the criterion; 2 expression syntax error; 3 precondition,
-domain, weight or inversion error; 4 undecided comparison under
-``--require-verdict``; 5 divergent integral; 64 usage error.
+0 success; 1 verification failure, a comparison whose numeric cross-check
+contradicts the criterion, or a computed mean that escaped its value hull;
+2 expression syntax error; 3 precondition, domain, weight or inversion
+error; 4 undecided comparison under ``--require-verdict``; 5 divergent
+integral; 64 usage error.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from ._errors import (
@@ -44,6 +45,7 @@ from ._errors import (
     DomainError,
     ExprSyntaxError,
     InversionError,
+    IsomeanError,
     NonMonotoneError,
     NotBondedError,
     PreconditionError,
@@ -53,27 +55,13 @@ from .bivariate import QuasiStolarskyParams, cauchy_mean_report, quasi_stolarsky
 from .compare import compare_function_means, make_scenario
 from .expr import Expr, depends_on_var
 from .frame import estimate_range_hull, generator_map
-from .funmean import (
-    class_I_mean,
-    class_II_mean,
-    class_III_mean,
-    class_IV_mean,
-    class_V_mean,
-    class_VII_mean,
-    elastic_mean,
-    geometric_mean,
-    harmonic_mean,
-    plain_mean,
-    power_integral_mean,
-)
+from .funmean import MEAN_CLASSES
 from .intervals import Interval
 from .nummean import compare_number_means
 from .parse import parse
 from .verify import GROUPS, report, run_checks
 
 _USAGE_EXIT = 64
-
-_MEAN_CLASSES = ("I", "II", "III", "IV", "V", "VI", "VII", "geometric", "harmonic", "elastic")
 
 
 class _UsageError(Exception):
@@ -206,38 +194,23 @@ def _check_tol(spec: RunSpec, err: float) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _class_mean(spec: RunSpec, d: Interval):
+    """The mean of ``spec.mean_class`` over d, reading its inputs from spec."""
+    return MEAN_CLASSES[spec.mean_class](
+        d, lambda name: spec.power if name == "p" else _expr(spec, name)
+    )
+
+
+def _class_label(spec: RunSpec) -> str:
+    return spec.mean_class if spec.mean_class != "power" else f"power:{spec.power!r}"
+
+
 def cmd_mean(spec: RunSpec) -> int:
-    cls = spec.mean_class or ""
-    f = _expr(spec, "f", required=(cls != "V"))  # class V means the identity
-    d = _window(spec)
-    if cls == "I":
-        r = class_I_mean(f, d, _expr(spec, "h"))
-    elif cls == "II":
-        r = class_II_mean(f, d, _expr(spec, "g"))
-    elif cls == "III":
-        r = class_III_mean(f, d, _expr(spec, "g"))
-    elif cls == "IV":
-        r = class_IV_mean(f, d, _expr(spec, "g"), _expr(spec, "h"))
-    elif cls == "V":
-        r = class_V_mean(_expr(spec, "g"), _expr(spec, "h"), d.lo, d.hi)
-    elif cls == "VI":
-        r = plain_mean(f, d)
-    elif cls == "VII":
-        r = class_VII_mean(f, d)
-    elif cls == "geometric":
-        r = geometric_mean(f, d)
-    elif cls == "harmonic":
-        r = harmonic_mean(f, d)
-    elif cls == "elastic":
-        r = elastic_mean(f, d)
-    elif cls == "power":
-        r = power_integral_mean(f, d, spec.power)
-    else:
-        raise _UsageError(f"unknown mean class {spec.mean_class!r}")
+    r = _class_mean(spec, _window(spec))
     _check_tol(spec, r.abs_error_estimate)
     record = {
-        "class": spec.mean_class if cls != "power" else f"power:{spec.power!r}",
-        "f": f if f is not None else "x",
+        "class": _class_label(spec),
+        "f": _expr(spec, "f", required=False) or "x",
         "g": _expr(spec, "g", required=False),
         "h": _expr(spec, "h", required=False),
         "a": spec.a,
@@ -454,47 +427,17 @@ def cmd_sweep(spec: RunSpec) -> int:
             )
     else:
         header = ["class", "f", "a", "b", "value", "err", "method"]
-        f = _expr(spec, "f")
         if spec.mean_class is None:
             raise _UsageError("--class is required for mean sweeps")
+        label, fsrc = _class_label(spec), _expr(spec, "f", required=False) or "x"
         for pt in _grid(spec.sweeps):
             a = pt.get("a", spec.a)
             b = pt.get("b", spec.b)
             if a is None or b is None:
                 raise _UsageError("mean sweeps need a and b, each swept or fixed")
-            sub = RunSpec(
-                subcommand="mean",
-                exprs=spec.exprs,
-                a=a,
-                b=b,
-                fmt=spec.fmt,
-                mean_class=spec.mean_class,
-                power=spec.power,
-            )
-            d = _window(sub)
-            if spec.mean_class == "geometric":
-                r = geometric_mean(f, d)
-            elif spec.mean_class == "harmonic":
-                r = harmonic_mean(f, d)
-            elif spec.mean_class == "elastic":
-                r = elastic_mean(f, d)
-            elif spec.mean_class == "power":
-                r = power_integral_mean(f, d, spec.power)
-            elif spec.mean_class == "VI":
-                r = plain_mean(f, d)
-            elif spec.mean_class == "VII":
-                r = class_VII_mean(f, d)
-            elif spec.mean_class == "I":
-                r = class_I_mean(f, d, _expr(sub, "h"))
-            elif spec.mean_class == "II":
-                r = class_II_mean(f, d, _expr(sub, "g"))
-            elif spec.mean_class == "III":
-                r = class_III_mean(f, d, _expr(sub, "g"))
-            else:
-                raise _UsageError(f"mean sweeps do not support class {spec.mean_class!r}")
-            label = spec.mean_class if spec.mean_class != "power" else f"power:{spec.power!r}"
+            r = _class_mean(spec, _window(replace(spec, a=a, b=b)))
             rows.append(
-                {"class": label, "f": f, "a": a, "b": b, "value": r.value,
+                {"class": label, "f": fsrc, "a": a, "b": b, "value": r.value,
                  "err": r.abs_error_estimate, "method": r.method}
             )
     _emit_rows(spec, header, rows)
@@ -608,10 +551,10 @@ def _build_runspec(args: argparse.Namespace) -> RunSpec:
         except ValueError:
             raise _UsageError(f"bad power-mean class {mean_class!r}") from None
         mean_class = "power"
-    elif mean_class is not None and mean_class not in _MEAN_CLASSES:
+    elif mean_class is not None and (mean_class == "power" or mean_class not in MEAN_CLASSES):
+        named = (c for c in MEAN_CLASSES if c != "power")
         raise _UsageError(
-            f"unknown mean class {mean_class!r}; pick one of "
-            f"{', '.join(_MEAN_CLASSES)} or power:p"
+            f"unknown mean class {mean_class!r}; pick one of {', '.join(named)} or power:p"
         )
     map_window = None
     raw = getattr(args, "map_window", None)
@@ -681,6 +624,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 5
     except ComparisonContradiction as e:
         print(f"isomean: contradiction: {e}", file=sys.stderr)
+        return 1
+    except IsomeanError as e:
+        print(f"isomean: {e}", file=sys.stderr)
         return 1
 
 

@@ -261,12 +261,12 @@ def generator_map(source: Union[Expr, str], domain: Interval) -> GeneratorMap:
 
     closed_lo = None
     closed_hi = None
-    if not d_open_lo(domain):
+    if not domain.lo_open:
         try:
             closed_lo = evaluate(expr, domain.lo)
         except DomainError:
             closed_lo = None
-    if not d_open_hi(domain):
+    if not domain.hi_open:
         try:
             closed_hi = evaluate(expr, domain.hi)
         except DomainError:
@@ -300,14 +300,6 @@ def generator_map(source: Union[Expr, str], domain: Interval) -> GeneratorMap:
         _steps=steps,
         _forward=None,
     )
-
-
-def d_open_lo(d: Interval) -> bool:
-    return d.lo_open or math.isinf(d.lo)
-
-
-def d_open_hi(d: Interval) -> bool:
-    return d.hi_open or math.isinf(d.hi)
 
 
 def invert_eval(g: GeneratorMap, u: float) -> float:

@@ -10,10 +10,13 @@ geometric, harmonic, power-integral and elasticity-weighted means are all
 one pair of maps away — and the general form supports systematic
 comparison theorems (see :mod:`isomean.compare`).
 
-Improper situations (``f`` unbounded near an endpoint, or a map undefined
-exactly at the boundary) are handled by evaluating the mean on a sequence
-of shrunken intervals and taking the limit; the result records which route
-produced it and a defensible error estimate.
+Every mean is first evaluated directly: the Gauss–Kronrod nodes are
+interior, so integrable blow-ups of ``f`` or of the maps at an endpoint
+need no special treatment.  Only when direct evaluation cannot be carried
+out (a map undefined exactly at the boundary, or a pullback that leaves the
+y-map's image) is the mean evaluated on a sequence of shrunken intervals and
+the limit taken; the result records which route produced it and a
+defensible error estimate.
 """
 from __future__ import annotations
 
@@ -25,7 +28,6 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from ._errors import (
-    DivergentIntegralError,
     DomainError,
     InversionError,
     IsomeanError,
@@ -44,7 +46,7 @@ from .frame import (
 from .intervals import Interval
 from .invert import apply_steps_numpy, invert_many_bracketed
 from .parse import parse
-from .quadrature import endpoint_limit, integrate, is_improper_near
+from .quadrature import endpoint_limit, integrate, max_subdivisions
 
 FnLike = Union[Expr, str, Callable[[float], float]]
 
@@ -62,17 +64,14 @@ def _coerce_f(f: FnLike):
     return parse(f) if isinstance(f, str) else f
 
 
-def _covers_leniently(dom: Interval, part: Interval) -> tuple[bool, bool]:
-    """(covered, boundary_improper): full containment, or containment of the
-    open interior with the boundary merely touching."""
+def _covers_leniently(dom: Interval, part: Interval) -> bool:
+    """Full containment, or containment of the open interior with the
+    boundary merely touching."""
     if dom.covers(part):
-        return True, False
+        return True
     if part.degenerate:
-        return False, False
-    opened = Interval(part.lo, part.hi, lo_open=True, hi_open=True)
-    if dom.covers(opened):
-        return True, True
-    return False, False
+        return False
+    return dom.covers(Interval(part.lo, part.hi, lo_open=True, hi_open=True))
 
 
 @dataclass(frozen=True)
@@ -83,27 +82,25 @@ class MeanProblem:
     must lie in the x-map's domain and the sampled value hull in the
     y-map's domain.  A hull or window that only *touches* an open map
     boundary (f vanishing at an endpoint under a log map, say) is accepted
-    and remembered as boundary-improper, which steers evaluation through
-    the limit route.
+    as well; evaluation then decides whether the boundary needs a limit.
     """
 
     f: FnLike
     fdomain: Interval
     frame: Frame
     _hull: Interval = field(init=False, repr=False, compare=False)
-    _boundary_improper: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "f", _coerce_f(self.f))
         if len(self.frame.dms) < 2:
             raise PreconditionError("a mean problem needs a two-map frame")
         report = check_bonded(self.f, self.fdomain, self.frame)
-        base_ok, base_improper = _covers_leniently(self.frame.g.domain, self.fdomain)
-        hull_ok, hull_improper = _covers_leniently(self.frame.h.domain, report.range_hull)
-        if not (base_ok and hull_ok):
+        if not (
+            _covers_leniently(self.frame.g.domain, self.fdomain)
+            and _covers_leniently(self.frame.h.domain, report.range_hull)
+        ):
             raise NotBondedError(report.message)
         object.__setattr__(self, "_hull", report.range_hull)
-        object.__setattr__(self, "_boundary_improper", base_improper or hull_improper)
 
     @property
     def range_hull(self) -> Interval:
@@ -153,6 +150,28 @@ def _integrand(problem: MeanProblem) -> Callable[[np.ndarray], np.ndarray]:
     return phi
 
 
+def _direct_or_limit(mean_on, a: float, b: float):
+    """Evaluate ``mean_on`` on [a, b], or its limit on shrunken windows.
+
+    ``mean_on(ak, bk, max_subdiv)`` returns ``(value, error, detail)``.
+    Direct quadrature runs first: its nodes are interior, so integrable
+    endpoint blow-ups need no limit.  The endpoint limit is taken only when
+    the direct evaluation raises DomainError or InversionError (a map
+    undefined at the boundary, a ratio outside the y-map's image); a
+    DivergentIntegralError propagates.  Each limit window is held to
+    ``min(_LIMIT_SUBDIV, max_subdivisions())`` subdivisions.
+
+    Returns ``(value, error, method, detail)``.
+    """
+    try:
+        value, err, detail = mean_on(a, b)
+        return value, err, "quadrature", detail
+    except (DomainError, InversionError):
+        budget = min(_LIMIT_SUBDIV, max_subdivisions())
+        value, err, stage = endpoint_limit(lambda ak, bk: mean_on(ak, bk, budget)[0], a, b)
+        return value, err, "quadrature+endpoint-limit", {"stage": stage}
+
+
 def dvi_mean(problem: MeanProblem) -> MeanResult:
     """Evaluate the mean of the problem's function under its frame."""
     d = problem.fdomain
@@ -169,56 +188,20 @@ def dvi_mean(problem: MeanProblem) -> MeanResult:
         raise PreconditionError("the evaluation window must be bounded")
     phi = _integrand(problem)
     hull = problem.range_hull
-    generalized = max(abs(hull.lo), abs(hull.hi)) > _GENERALIZED_SPAN
-    detail = {"range_hull": str(hull), "generalized": generalized}
 
-    def direct(max_subdiv: Optional[int] = None):
-        ga, gb = g(a), g(b)
-        dg = gb - ga
+    def mean_on(ak: float, bk: float, max_subdiv: Optional[int] = None):
+        dg = g(bk) - g(ak)
         if dg == 0.0:
             raise PreconditionError("x-map takes equal values at the endpoints")
-        total, err_i = integrate(phi, a, b, max_subdiv=max_subdiv)
-        ratio = total / dg
-        value = h.invert(ratio)
+        total, err_i = integrate(phi, ak, bk, max_subdiv=max_subdiv)
+        value = h.invert(total / dg)
         slope = abs(h.derivative_at(value))
         err = err_i / abs(dg) / max(slope, 1e-300)
         return value, err, {"numerator": total, "denominator": dg}
 
-    def shrunken_limit():
-        def value_on(ak: float, bk: float) -> float:
-            total, _ = integrate(phi, ak, bk, max_subdiv=_LIMIT_SUBDIV)
-            dg = g(bk) - g(ak)
-            return h.invert(total / dg)
-
-        value, err, stage = endpoint_limit(value_on, a, b)
-        return value, err, {"stage": stage}
-
-    improper = (
-        problem._boundary_improper
-        or is_improper_near(phi, a, b, "lo")
-        or is_improper_near(phi, a, b, "hi")
-    )
-
-    if improper:
-        try:
-            value, err, extra = shrunken_limit()
-            method = "quadrature+endpoint-limit"
-            detail["generalized"] = True
-        except DivergentIntegralError:
-            # The screen can misfire on steep but integrable behavior; give
-            # the direct route one bounded attempt before giving up.
-            value, err, extra = direct(max_subdiv=_LIMIT_SUBDIV)
-            method = "quadrature"
-    else:
-        try:
-            value, err, extra = direct()
-            method = "quadrature"
-        except (DomainError, InversionError):
-            value, err, extra = shrunken_limit()
-            method = "quadrature+endpoint-limit"
-            detail["generalized"] = True
-
-    detail.update(extra)
+    value, err, method, extra = _direct_or_limit(mean_on, a, b)
+    generalized = method != "quadrature" or max(abs(hull.lo), abs(hull.hi)) > _GENERALIZED_SPAN
+    detail = {"range_hull": str(hull), "generalized": generalized, **extra}
     slack = max(1e-6, 1e-6 * abs(value), 10.0 * err)
     if not hull.contains(value, slack=slack):
         raise IsomeanError(
@@ -264,7 +247,7 @@ def dvi_mean_riemann_oracle(problem: MeanProblem, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _identity_map(d: Interval) -> GeneratorMap:
     return generator_map(var(), d)
 
@@ -423,30 +406,16 @@ def class_VII_mean(f: FnLike, fdomain: Interval) -> MeanResult:
         xs = np.asarray(xs, dtype=float)
         return xs * F.derivative_many(xs)
 
-    def eval_on(ak: float, bk: float) -> tuple[float, float, float]:
+    def mean_on(ak: float, bk: float, max_subdiv: Optional[int] = None):
         dF = F(bk) - F(ak)
         if dF == 0.0:
             raise PreconditionError("f takes equal values at the endpoints")
-        total, err_i = integrate(weight, ak, bk)
-        return total, dF, err_i
-
-    try:
-        total, dF, err_i = eval_on(a, b)
+        total, err_i = integrate(weight, ak, bk, max_subdiv=max_subdiv)
         t = total / dF
-        value = fscal(t)
         err = abs(F.derivative_at(t)) * err_i / abs(dF) if math.isfinite(t) else math.inf
-        method = "quadrature"
-        detail = {"numerator": total, "denominator": dF}
-    except (DomainError, DivergentIntegralError):
+        return fscal(t), err, {"numerator": total, "denominator": dF}
 
-        def value_on(ak: float, bk: float) -> float:
-            total, dF, _ = eval_on(ak, bk)
-            return fscal(total / dF)
-
-        value, err, stage = endpoint_limit(value_on, a, b)
-        method = "quadrature+endpoint-limit"
-        detail = {"stage": stage}
-
+    value, err, method, detail = _direct_or_limit(mean_on, a, b)
     if not math.isfinite(value):
         raise DomainError("mean point fell where f is not evaluable")
     return MeanResult(value, err, method, detail)
@@ -459,7 +428,7 @@ def class_VII_mean(f: FnLike, fdomain: Interval) -> MeanResult:
 
 def geometric_mean(f: FnLike, fdomain: Interval) -> MeanResult:
     """exp of the average of ln f; requires f ≥ 0 with zeros at most on the
-    boundary (those are handled as improper limits)."""
+    boundary (the quadrature's interior nodes never reach them)."""
     f = _coerce_f(f)
     m = estimate_range_hull(f, fdomain)
     if m.lo < 0.0:
@@ -512,6 +481,26 @@ def elastic_mean(f: FnLike, fdomain: Interval) -> MeanResult:
     gm = _log_map()
     hm = _identity_map(_value_axis_window(f, fdomain))
     return dvi_mean(MeanProblem(f, fdomain, make_frame((gm, hm))))
+
+
+#: Every mean class by name.  Each entry maps ``(window, arg)`` to a
+#: :class:`MeanResult`, where ``arg(name)`` returns the input the class
+#: reads: ``"f"`` the function, ``"g"`` the x-map, ``"h"`` the y-map, ``"p"``
+#: the exponent of the power class.  Class V means the identity and reads
+#: no ``f``; it takes its endpoints from the window.
+MEAN_CLASSES: dict[str, Callable[[Interval, Callable[[str], object]], MeanResult]] = {
+    "I": lambda d, arg: class_I_mean(arg("f"), d, arg("h")),
+    "II": lambda d, arg: class_II_mean(arg("f"), d, arg("g")),
+    "III": lambda d, arg: class_III_mean(arg("f"), d, arg("g")),
+    "IV": lambda d, arg: class_IV_mean(arg("f"), d, arg("g"), arg("h")),
+    "V": lambda d, arg: class_V_mean(arg("g"), arg("h"), d.lo, d.hi),
+    "VI": lambda d, arg: plain_mean(arg("f"), d),
+    "VII": lambda d, arg: class_VII_mean(arg("f"), d),
+    "geometric": lambda d, arg: geometric_mean(arg("f"), d),
+    "harmonic": lambda d, arg: harmonic_mean(arg("f"), d),
+    "elastic": lambda d, arg: elastic_mean(arg("f"), d),
+    "power": lambda d, arg: power_integral_mean(arg("f"), d, arg("p")),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,8 @@ _WG = np.array(
     [0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469]
 )
 
+_ROUNDING_FLOOR = 50.0 * float(np.finfo(float).eps)
+
 DEFAULT_ABS_TOL = 1e-12
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_MAX_SUBDIV = 10**6
@@ -73,8 +75,9 @@ def max_subdivisions() -> int:
     return max(1, v)
 
 
-def _panel(fn, a: float, b: float) -> Tuple[float, float]:
-    """Kronrod value and error estimate for one panel; nodes are interior."""
+def _panel(fn, a: float, b: float) -> Tuple[float, float, float]:
+    """Kronrod value, error estimate and Kronrod value of |fn| for one panel;
+    nodes are interior."""
     c = 0.5 * (a + b)
     hw = 0.5 * (b - a)
     nodes = np.concatenate((c - hw * _XGK[:7], [c], c + hw * _XGK[6::-1]))
@@ -88,7 +91,8 @@ def _panel(fn, a: float, b: float) -> Tuple[float, float]:
     k = hw * (float(np.dot(_WGK[:7], lower + upper)) + _WGK[7] * center)
     g_pairs = lower[1::2] + upper[1::2]
     g = hw * (float(np.dot(_WG[:3], g_pairs)) + _WG[3] * center)
-    return k, abs(k - g)
+    k_abs = hw * (float(np.dot(_WGK[:7], abs(lower) + abs(upper))) + _WGK[7] * abs(center))
+    return k, abs(k - g), k_abs
 
 
 def integrate(
@@ -113,8 +117,8 @@ def integrate(
         lo, hi = hi, lo
         sign = -1.0
     budget = max_subdivisions() if max_subdiv is None else max_subdiv
-    k0, e0 = _panel(fn, lo, hi)
-    heap = [(-e0, 0, lo, hi, k0, e0)]
+    k0, e0, r0 = _panel(fn, lo, hi)
+    heap = [(-e0, 0, lo, hi, k0, e0, r0)]
     seq = 1
     total = k0
     total_err = e0
@@ -122,25 +126,25 @@ def integrate(
     while splits < budget:
         if total_err <= max(abs_tol, rel_tol * abs(total)):
             break
-        neg_err, _, pa, pb, pk, pe = heapq.heappop(heap)
+        neg_err, _, pa, pb, pk, pe, pr = heapq.heappop(heap)
         if pe <= 0.0:
-            heapq.heappush(heap, (neg_err, seq, pa, pb, pk, pe))
+            heapq.heappush(heap, (neg_err, seq, pa, pb, pk, pe, pr))
             seq += 1
             break
         mid = 0.5 * (pa + pb)
         if not (pa < mid < pb):
-            heapq.heappush(heap, (0.0, seq, pa, pb, pk, 0.0))
+            heapq.heappush(heap, (0.0, seq, pa, pb, pk, 0.0, pr))
             seq += 1
             continue
-        k1, e1 = _panel(fn, pa, mid)
-        k2, e2 = _panel(fn, mid, pb)
+        k1, e1, r1 = _panel(fn, pa, mid)
+        k2, e2, r2 = _panel(fn, mid, pb)
         total += (k1 + k2) - pk
         total_err += (e1 + e2) - pe
-        heapq.heappush(heap, (-e1, seq, pa, mid, k1, e1))
-        heapq.heappush(heap, (-e2, seq + 1, mid, pb, k2, e2))
+        heapq.heappush(heap, (-e1, seq, pa, mid, k1, e1, r1))
+        heapq.heappush(heap, (-e2, seq + 1, mid, pb, k2, e2, r2))
         seq += 2
         splits += 1
-    segments = sorted((entry[2], entry[4], entry[5]) for entry in heap)
+    segments = sorted((entry[2], entry[4], entry[5], entry[6]) for entry in heap)
     value = math.fsum(s[1] for s in segments)
     err = math.fsum(s[2] for s in segments)
     target = max(abs_tol, rel_tol * abs(value))
@@ -149,7 +153,11 @@ def integrate(
             f"quadrature used all {budget} subdivisions with error {err:.3e}"
             f" (target {target:.3e}); the integral may diverge"
         )
-    return sign * value, err
+    # Kronrod–Gauss differences do not see rounding, which dominates when
+    # the integrand cancels (ln tan over (0, π/2)).  As in QUADPACK, the
+    # estimate is floored at 50 ulps of the integral of |fn|.
+    rounding = _ROUNDING_FLOOR * math.fsum(s[3] for s in segments)
+    return sign * value, max(err, rounding)
 
 
 def is_improper_near(fn, a: float, b: float, side: str) -> bool:

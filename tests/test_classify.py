@@ -54,6 +54,9 @@ def test_sample_grid_spans_the_window():
     assert xs.shape == (5,)
     assert xs[0] == 0.0 and xs[-1] == 1.0
     assert np.all(np.diff(xs) > 0)
+    # lo + (hi − lo) rounds to one ulp above hi here; the ends stay exact
+    xs = sample_grid(Interval(0.5512, 1.622), 5)
+    assert xs[0] == 0.5512 and xs[-1] == 1.622
 
 
 def test_sample_grid_stays_interior_on_open_sides():

@@ -217,6 +217,28 @@ def test_sweep_mean_windows(run):
     assert got[1] == pytest.approx(math.exp((4 * math.log(4) - 3.0) / 3.0), rel=1e-10)
 
 
+def test_sweep_mean_reads_the_class_table(run):
+    rc, out, _ = run(
+        "sweep", "--target", "mean", "--class", "IV", "--f", "exp(x)", "--g", "x^2",
+        "--h", "ln(y)", "--sweep", "b=1:2:2", "--a", "0", "--format", "csv",
+    )
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["class", "f", "a", "b", "value", "err", "method"]
+    # exp of the mean of x under the weight 2x/b²: exp(2b/3)
+    assert [float(r[4]) for r in rows[1:]] == pytest.approx(
+        [math.exp(2.0 / 3.0), math.exp(4.0 / 3.0)], rel=1e-10
+    )
+    rc, out, _ = run(
+        "sweep", "--target", "mean", "--class", "V", "--g", "x", "--h", "ln(y)",
+        "--sweep", "b=8:8:1", "--a", "2", "--format", "csv",
+    )
+    assert rc == 0
+    row = list(csv.reader(io.StringIO(out)))[1]
+    assert row[1] == "x"
+    assert float(row[4]) == class_V_mean("x", "ln(y)", 2.0, 8.0).value
+
+
 def test_sweep_is_deterministic(run):
     args = (
         "sweep", "--target", "sigma_ge", "--sweep", "r=1.5:90:7:log",
@@ -294,6 +316,30 @@ def test_exit_divergent_integral(run, monkeypatch):
     )
     assert rc == 5
     assert "diverge" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_exit_non_integrable_blowup_is_divergent(run):
+    rc, _, err = run("mean", "--class", "VI", "--f", "1/x", "--a", "0", "--b", "1", "--open-a")
+    assert rc == 5
+    assert "divergent" in err
+
+
+def test_exit_subdivision_cap_binds_the_limit_route(run, monkeypatch):
+    monkeypatch.setenv("ISOMEAN_MAX_SUBDIV", "2")
+    rc, _, err = run(
+        "mean", "--class", "elastic", "--f", "tan(x)",
+        "--a", "0", "--b", "pi/2", "--open-a", "--open-b",
+    )
+    assert rc == 5
+    assert "divergent" in err
+
+
+def test_exit_hull_escape_is_a_failure_not_a_traceback(run):
+    rc, _, err = run("mean", "--class", "elastic", "--f", "x", "--a", "0", "--b", "1.6621")
+    assert rc == 1
+    assert "escapes the value hull" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

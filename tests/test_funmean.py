@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from isomean._errors import NotBondedError
+from isomean._errors import DivergentIntegralError, NotBondedError
 from isomean.expr import evaluate
 from isomean.frame import generator_map, make_frame
 from isomean.funmean import (
@@ -32,27 +32,50 @@ from isomean.parse import parse
 HALF_PI = math.pi / 2.0
 
 
+def assert_routed(r, ref, method):
+    """The mean took the expected route and its estimate covers the error."""
+    assert r.method == method
+    assert abs(r.value - ref) <= r.abs_error_estimate
+
+
 class TestNamedMeans:
     def test_plain_average_of_square(self):
         r = plain_mean("x^2", Interval(0.0, 2.0))
         assert r.value == pytest.approx(4.0 / 3.0, rel=1e-12)
         assert r.method == "quadrature"
 
+    # Integrable log blow-ups at the ends need no limit, open or closed: the
+    # Kronrod nodes are interior, so these means take the direct route.
     def test_geometric_mean_of_sine_arch(self):
         r = geometric_mean("sin(x)", Interval(0.0, math.pi, lo_open=True, hi_open=True))
         assert r.value == pytest.approx(0.5, abs=1e-8)
+        assert_routed(r, 0.5, "quadrature")
+        assert_routed(geometric_mean("sin(x)", Interval(0.0, math.pi)), 0.5, "quadrature")
 
     def test_geometric_mean_of_tangent_quarter_period(self):
         r = geometric_mean("tan(x)", Interval(0.0, HALF_PI, lo_open=True, hi_open=True))
         assert r.value == pytest.approx(1.0, abs=1e-6)
+        assert_routed(r, 1.0, "quadrature")
 
     def test_geometric_mean_of_circle_chords(self):
         r = geometric_mean("2*sqrt(1-x^2)", Interval(-1.0, 1.0, lo_open=True, hi_open=True))
         assert r.value == pytest.approx(4.0 / math.e, abs=1e-7)
+        assert_routed(r, 4.0 / math.e, "quadrature")
 
     def test_geometric_mean_of_identity_near_zero(self):
         r = geometric_mean("x", Interval(0.0, 1.0, lo_open=True))
         assert r.value == pytest.approx(1.0 / math.e, abs=1e-9)
+        assert_routed(r, 1.0 / math.e, "quadrature")
+        assert_routed(geometric_mean("x", Interval(0.0, 1.0)), 1.0 / math.e, "quadrature")
+
+    def test_integrable_algebraic_blowup_takes_the_direct_route(self):
+        r = plain_mean("1/sqrt(x)", Interval(0.0, 1.0, lo_open=True))
+        assert_routed(r, 2.0, "quadrature")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_integrable_blowup_is_divergent(self):
+        with pytest.raises(DivergentIntegralError):
+            plain_mean("1/x", Interval(0.0, 1.0, lo_open=True))
 
     def test_harmonic_mean_of_identity(self):
         r = harmonic_mean("x", Interval(1.0, 2.0))
@@ -66,9 +89,10 @@ class TestNamedMeans:
             assert got == pytest.approx((b - a) / math.log(b / a), rel=1e-10)
 
     def test_elastic_mean_of_tangent_quarter_period(self):
+        # ln, the x-map, is undefined at 0: only this window needs the limit
         r = elastic_mean("tan(x)", Interval(0.0, HALF_PI, lo_open=True, hi_open=True))
         assert r.value == pytest.approx(2.0 / math.pi, abs=1e-5)
-        assert "endpoint-limit" in r.method
+        assert_routed(r, 2.0 / math.pi, "quadrature+endpoint-limit")
 
     def test_power_integral_mean(self):
         r = power_integral_mean("x", Interval(1.0, 2.0), 3.0)
@@ -120,6 +144,13 @@ class TestClassConstructors:
     def test_bivariate_log_base_map_is_the_log_mean(self):
         r = class_V_mean("ln(x)", "y", 2.0, 5.0)
         assert r.value == pytest.approx(3.0 / math.log(2.5), rel=1e-10)
+
+    def test_bivariate_value_map_built_on_the_window_itself(self):
+        # the sampled hull of the identity must not overshoot b by an ulp
+        a, b = 0.5512, 1.622
+        r = class_V_mean("ln(x)", "x^2", a, b)
+        want = math.sqrt((b * b - a * a) / (2.0 * math.log(b / a)))
+        assert r.value == pytest.approx(want, rel=1e-12)
 
     def test_self_paired_map(self):
         r = class_VII_mean("x^2", Interval(0.0, 1.0))

@@ -28,6 +28,13 @@ def test_oscillatory_integrand():
     assert abs(val - want) <= max(err, 1e-13)
 
 
+def test_error_estimate_covers_rounding_when_the_integrand_cancels():
+    # ln tan is odd about π/4: one panel's Kronrod and Gauss sums agree to
+    # far below the rounding left in the value
+    val, err = integrate(lambda x: np.log(np.tan(np.asarray(x))), 0.0, math.pi / 2)
+    assert abs(val) <= err < 1e-13
+
+
 def test_log_endpoint_singularity_converges():
     # integrable singularity: the sample nodes stay interior
     val, err = integrate(lambda x: np.log(np.asarray(x)), 0.0, 1.0)
