@@ -53,7 +53,7 @@ from ._errors import (
 )
 from .bivariate import QuasiStolarskyParams, cauchy_mean_report, quasi_stolarsky, sigma_GE
 from .compare import compare_function_means, make_scenario
-from .expr import Expr, depends_on_var
+from .expr import depends_on_var
 from .frame import estimate_range_hull, generator_map
 from .funmean import MEAN_CLASSES
 from .intervals import Interval

@@ -39,6 +39,15 @@ class GeneratorMap:
     _dval: Callable[[float], float] = field(repr=False, compare=False, default=None)
     _steps: Optional[tuple] = field(repr=False, compare=False, default=None)
     _forward: Optional["GeneratorMap"] = field(repr=False, compare=False, default=None)
+    # Array views of _fval and _dval; maps built without them loop the scalars.
+    _fvec: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False, default=None)
+    _dvec: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False, default=None)
+
+    def __post_init__(self):
+        if self._fvec is None:
+            object.__setattr__(self, "_fvec", as_vector_fn(self._fval))
+        if self._dvec is None:
+            object.__setattr__(self, "_dvec", as_vector_fn(self._dval))
 
     @property
     def increasing(self) -> bool:
@@ -51,23 +60,13 @@ class GeneratorMap:
         return v
 
     def value_many(self, xs) -> np.ndarray:
-        out = np.empty(np.shape(xs), dtype=float)
-        flat_x = np.asarray(xs, dtype=float).ravel()
-        flat_o = out.ravel()
-        for i, x in enumerate(flat_x):
-            flat_o[i] = self._fval(float(x))
-        return out
+        return self._fvec(xs)
 
     def derivative_at(self, x: float) -> float:
         return self._dval(float(x))
 
     def derivative_many(self, xs) -> np.ndarray:
-        out = np.empty(np.shape(xs), dtype=float)
-        flat_x = np.asarray(xs, dtype=float).ravel()
-        flat_o = out.ravel()
-        for i, x in enumerate(flat_x):
-            flat_o[i] = self._dval(float(x))
-        return out
+        return self._dvec(xs)
 
     def invert(self, u: float) -> float:
         """x with |map(x) − u| within the mixed 1e-12 tolerance."""
@@ -255,6 +254,11 @@ def generator_map(source: Union[Expr, str], domain: Interval) -> GeneratorMap:
             + (f" (witnesses {mono.witnesses})" if mono.witnesses else "")
         )
     fvec = compile_numpy(expr)
+    # 1/x and tan have one derivative sign on both sides of a pole, so the
+    # derivative test passes them; the values step backwards across it.
+    ys = fvec(sample_grid(domain, 33))
+    if np.any(np.diff(ys[np.isfinite(ys)]) * mono.direction < 0):
+        raise DomainError(f"map {expr} has a pole or jump inside {domain}")
     fval = _scalar_view(fvec)
     dvec = compile_numpy(differentiate(expr))
     dval = _scalar_view(dvec)
@@ -299,6 +303,8 @@ def generator_map(source: Union[Expr, str], domain: Interval) -> GeneratorMap:
         _dval=dval,
         _steps=steps,
         _forward=None,
+        _fvec=fvec,
+        _dvec=dvec,
     )
 
 

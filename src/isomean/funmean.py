@@ -34,7 +34,7 @@ from ._errors import (
     NotBondedError,
     PreconditionError,
 )
-from .expr import Expr, as_scalar_fn, as_vector_fn, compile_numpy, const, powx, var
+from .expr import Expr, as_scalar_fn, as_vector_fn, const, powx, var
 from .frame import (
     Frame,
     GeneratorMap,
@@ -234,8 +234,7 @@ def dvi_mean_riemann_oracle(problem: MeanProblem, n: int) -> float:
         if candidate is not None and np.all(np.isfinite(candidate)):
             xs = candidate
     if xs is None:
-        vec = compile_numpy(g.expr) if g.expr is not None else np.vectorize(g._fval)
-        xs = invert_many_bracketed(vec, d.lo, d.hi, us, g.increasing)
+        xs = invert_many_bracketed(g.value_many, d.lo, d.hi, us, g.increasing)
     vals = h.value_many(as_vector_fn(problem.f)(xs))
     if not np.all(np.isfinite(vals)):
         raise DomainError("oracle integrand not finite on the midpoint grid")

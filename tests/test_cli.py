@@ -304,6 +304,14 @@ def test_exit_domain_error(run):
     assert rc == 3
 
 
+def test_exit_pole_in_the_value_map(run):
+    rc, _, err = run(
+        "mean", "--class", "I", "--f", "x", "--h", "1/x", "--a", "0", "--b", "1", "--open-a"
+    )
+    assert rc == 3
+    assert "pole" in err
+
+
 def test_exit_non_monotone_map(run):
     rc, _, _ = run("cauchy", "--f", "sin(x)", "--g", "x", "--a", "0.3", "--b", "4.5")
     assert rc == 3

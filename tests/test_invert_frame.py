@@ -1,9 +1,11 @@
 """Generator maps: inversion strategies, framing, bondedness checks."""
 import math
 
+import numpy as np
 import pytest
 
-from isomean._errors import NonMonotoneError, InversionError
+from isomean import compare
+from isomean._errors import DomainError, NonMonotoneError, InversionError
 from isomean.frame import (
     check_bonded,
     estimate_range_hull,
@@ -12,6 +14,7 @@ from isomean.frame import (
     invert_frame,
     make_frame,
 )
+from isomean.funmean import _log_map, class_I_mean
 from isomean.intervals import Interval
 from isomean.parse import parse
 
@@ -103,3 +106,79 @@ def test_make_frame_accepts_prebuilt_maps():
     h = generator_map("y^2", Interval(0.0, 2.0))
     fr = make_frame((g, h))
     assert fr.g is g and fr.h is h
+
+
+def _first_mvt_base_map(monkeypatch):
+    """The Antiderivative-backed base map that first_mvt_mean builds."""
+    seen = []
+    original = compare.class_II_mean
+
+    def spy(f, d, g):
+        seen.append(g)
+        return original(f, d, g)
+
+    monkeypatch.setattr(compare, "class_II_mean", spy)
+    compare.first_mvt_mean("x", "1+x^2", Interval(0.0, 2.0))
+    return seen[0]
+
+
+VECTOR_VIEW_MAPS = ("identity", "log", "power", "inverse", "first-mvt-base")
+
+
+def _vector_view_case(name, monkeypatch):
+    """A map of the named kind and sample points inside its domain."""
+    inner = np.linspace(0.05, 0.95, 7)
+    if name == "identity":
+        return generator_map("x", Interval(0.0, 2.0)), 2.0 * inner
+    if name == "log":
+        return _log_map(), np.array([1e-3, 0.5, 1.0, 2.0, 1e3])
+    if name == "power":
+        return generator_map("x^2.5", Interval(0.5, 3.0)), 0.5 + 2.5 * inner
+    if name == "inverse":
+        inv = generator_map("x+exp(x)", Interval(0.0, 1.0)).inverse()
+        return inv, inv.domain.lo + (inv.domain.hi - inv.domain.lo) * inner
+    return _first_mvt_base_map(monkeypatch), 2.0 * inner
+
+
+@pytest.mark.parametrize("name", VECTOR_VIEW_MAPS)
+def test_vector_views_match_the_scalar_views(name, monkeypatch):
+    m, xs = _vector_view_case(name, monkeypatch)
+    want_v = np.array([m(x) for x in xs])
+    want_d = np.array([m.derivative_at(x) for x in xs])
+    np.testing.assert_array_max_ulp(m.value_many(xs), want_v, maxulp=2)
+    np.testing.assert_array_max_ulp(m.derivative_many(xs), want_d, maxulp=2)
+
+
+@pytest.mark.parametrize("name", VECTOR_VIEW_MAPS)
+def test_vector_views_keep_the_input_shape(name, monkeypatch):
+    m, xs = _vector_view_case(name, monkeypatch)
+    grid = np.resize(xs, (2, 3))
+    for many in (m.value_many, m.derivative_many):
+        assert many(grid).shape == (2, 3)
+        assert many(np.empty(0)).shape == (0,)
+
+
+def test_constant_derivative_keeps_the_input_shape():
+    m = generator_map("3*x+1", Interval(0.0, 1.0))
+    grid = np.linspace(0.0, 1.0, 6).reshape(3, 2)
+    np.testing.assert_array_equal(m.derivative_many(grid), np.full((3, 2), 3.0))
+
+
+@pytest.mark.parametrize(
+    "src, domain",
+    [
+        ("tan(x)", Interval(1.0, 2.0)),
+        ("tan(x)", Interval(1.0, 4.2)),
+        ("1/x", Interval(-1.0, 1.0)),
+    ],
+    ids=["tan-one-pole", "tan-wide", "reciprocal"],
+)
+def test_pole_inside_the_domain_is_rejected(src, domain):
+    with pytest.raises(DomainError, match="pole or jump"):
+        generator_map(src, domain)
+
+
+def test_pole_in_the_value_axis_window_is_rejected():
+    # the value window of x on (0, 1] is padded past 0, where 1/x has a pole
+    with pytest.raises(DomainError, match="pole or jump"):
+        class_I_mean("x", Interval(0.0, 1.0, lo_open=True), "1/x")
