@@ -18,9 +18,6 @@ import numpy as np
 
 from ._errors import DomainError, PreconditionError
 
-_UNARY_OPS = ("neg", "ln", "exp", "sin", "cos", "tan", "sinh", "cosh", "abs", "sqrt")
-_BINARY_OPS = ("add", "sub", "mul", "div", "pow")
-
 _MATH_FN = {
     "ln": math.log,
     "exp": math.exp,

@@ -19,7 +19,7 @@ from . import expr as E
 from .classify import MonotonicityClass, classify_monotonicity, sample_grid
 from .expr import Expr, as_vector_fn, compile_numpy, differentiate, evaluate
 from .intervals import Interval, hull
-from .invert import apply_steps_scalar, closed_form_steps, invert_monotone
+from .invert import apply_steps, closed_form_steps, invert_monotone
 from .parse import parse
 
 CLOSED_FORM = "closed-form"
@@ -75,7 +75,7 @@ class GeneratorMap:
             raise InversionError(f"value {u} lies outside the image {self.image}")
         if self._forward is not None:
             return self._forward(u)
-        x0 = apply_steps_scalar(self._steps, u) if self._steps is not None else None
+        x0 = float(apply_steps(self._steps, [u])[0]) if self._steps is not None else None
         return invert_monotone(
             self._fval, self.domain, u, self.increasing, deriv=self._dval, x0=x0
         )
@@ -88,7 +88,7 @@ class GeneratorMap:
         """
         if self._forward is not None:
             return self._forward
-        inv_expr = _inverse_expr_from_steps(self._steps)
+        inv_expr = apply_steps(self._steps, E.var()) if self._steps is not None else None
         if inv_expr is not None and not _probe_inverse_expr(self, inv_expr):
             inv_expr = None
 
@@ -126,10 +126,13 @@ def _scalar_view(fvec) -> Callable[[float], float]:
     return fval
 
 
-def _limit_toward(fval, d: Interval, side: str) -> float:
-    """Limit value of the map approaching an open/infinite endpoint."""
+def _limit_toward(fvec, d: Interval, side: str) -> float:
+    """Limit value of the map approaching an open/infinite endpoint.
+
+    `fvec` is the map's array view; the sequence toward the end is read up
+    to its first non-finite value.
+    """
     span = (d.hi - d.lo) if d.bounded else 1.0
-    xs = []
     if side == "lo":
         if math.isinf(d.lo):
             xs = [-(10.0 ** k) for k in range(0, 14)]
@@ -140,14 +143,10 @@ def _limit_toward(fval, d: Interval, side: str) -> float:
             xs = [10.0 ** k for k in range(0, 14)]
         else:
             xs = [d.hi - span * 10.0 ** (-k) for k in range(2, 14)]
-    vals = []
-    overflow = False
-    for x in xs:
-        v = fval(x)
-        if not math.isfinite(v):
-            overflow = True
-            break
-        vals.append(v)
+    vals = fvec(np.array(xs)).tolist()
+    n = next((i for i, v in enumerate(vals) if not math.isfinite(v)), len(vals))
+    overflow = n < len(vals)
+    vals = vals[:n]
     if not vals:
         raise DomainError(f"map not evaluable approaching the {side} endpoint of {d}")
     if overflow:
@@ -164,7 +163,7 @@ def _limit_toward(fval, d: Interval, side: str) -> float:
     return vals[-1]
 
 
-def _endpoint_value(expr_fval, d: Interval, side: str, closed_value=None) -> float:
+def _endpoint_value(fvec, d: Interval, side: str, closed_value=None) -> float:
     if side == "lo" and not d.lo_open:
         if closed_value is None or not math.isfinite(closed_value):
             raise DomainError(f"map undefined at the closed endpoint {d.lo}")
@@ -173,7 +172,7 @@ def _endpoint_value(expr_fval, d: Interval, side: str, closed_value=None) -> flo
         if closed_value is None or not math.isfinite(closed_value):
             raise DomainError(f"map undefined at the closed endpoint {d.hi}")
         return closed_value
-    return _limit_toward(expr_fval, d, side)
+    return _limit_toward(fvec, d, side)
 
 
 def _probe_points(d: Interval, n: int = 5):
@@ -192,40 +191,6 @@ def _probe_inverse_expr(gm: "GeneratorMap", inv_expr: Expr) -> bool:
         if abs(back - x) > 1e-9 * (1.0 + abs(x)):
             return False
     return True
-
-
-def _inverse_expr_from_steps(steps) -> Optional[Expr]:
-    if steps is None:
-        return None
-    t = E.var()
-    for op, c in steps:
-        if op == "neg":
-            t = E.neg(t)
-        elif op == "sub_c":
-            t = E.sub(t, E.const(c))
-        elif op == "add_c":
-            t = E.add(t, E.const(c))
-        elif op == "rsub_c":
-            t = E.sub(E.const(c), t)
-        elif op == "div_c":
-            t = E.div(t, E.const(c))
-        elif op == "mul_c":
-            t = E.mul(t, E.const(c))
-        elif op == "rdiv_c":
-            t = E.div(E.const(c), t)
-        elif op == "root":
-            t = E.powx(t, E.const(1.0 / c))
-        elif op == "log_base":
-            t = E.div(E.ln(t), E.const(math.log(c)))
-        elif op == "ln":
-            t = E.ln(t)
-        elif op == "exp":
-            t = E.exp(t)
-        elif op == "square":
-            t = E.powx(t, E.const(2.0))
-        else:  # pragma: no cover
-            return None
-    return t
 
 
 def generator_map(source: Union[Expr, str], domain: Interval) -> GeneratorMap:
@@ -275,23 +240,21 @@ def generator_map(source: Union[Expr, str], domain: Interval) -> GeneratorMap:
             closed_hi = evaluate(expr, domain.hi)
         except DomainError:
             closed_hi = None
-    v_lo = _endpoint_value(fval, domain, "lo", closed_lo)
-    v_hi = _endpoint_value(fval, domain, "hi", closed_hi)
+    v_lo = _endpoint_value(fvec, domain, "lo", closed_lo)
+    v_hi = _endpoint_value(fvec, domain, "hi", closed_hi)
     if mono.is_strictly_increasing:
-        img = Interval(v_lo, v_hi, domain.lo_open or math.isinf(v_lo), domain.hi_open or math.isinf(v_hi))
+        img = Interval(v_lo, v_hi, domain.lo_open, domain.hi_open)
     else:
-        img = Interval(v_hi, v_lo, domain.hi_open or math.isinf(v_hi), domain.lo_open or math.isinf(v_lo))
+        img = Interval(v_hi, v_lo, domain.hi_open, domain.lo_open)
 
     steps = closed_form_steps(expr)
     if steps is not None:
-        for x in _probe_points(domain):
-            u = fval(x)
-            if not math.isfinite(u):
-                continue
-            cand = apply_steps_scalar(steps, u)
-            if cand is None or abs(cand - x) > 1e-9 * (1.0 + abs(x)):
-                steps = None
-                break
+        xs = np.asarray(_probe_points(domain))
+        us = fvec(xs)
+        ok = np.isfinite(us)
+        xs, back = xs[ok], apply_steps(steps, us[ok])
+        if not np.all(np.abs(back - xs) <= 1e-9 * (1.0 + np.abs(xs))):
+            steps = None
     strategy = CLOSED_FORM if steps is not None else BRACKETED_NUMERIC
     return GeneratorMap(
         expr=expr,

@@ -38,13 +38,14 @@ from .expr import Expr, as_scalar_fn, as_vector_fn, const, powx, var
 from .frame import (
     Frame,
     GeneratorMap,
+    _limit_toward,
     check_bonded,
     estimate_range_hull,
     generator_map,
     make_frame,
 )
-from .intervals import Interval
-from .invert import apply_steps_numpy, invert_many_bracketed
+from .intervals import Interval, hull as hull_of
+from .invert import apply_steps, invert_many_bracketed
 from .parse import parse
 from .quadrature import endpoint_limit, integrate, max_subdivisions
 
@@ -184,7 +185,7 @@ def dvi_mean(problem: MeanProblem) -> MeanResult:
         return MeanResult(v, 0.0, "closed-form", {"range_hull": str(problem.range_hull)})
 
     a, b = d.lo, d.hi
-    if not (math.isfinite(a) and math.isfinite(b)):
+    if not d.bounded:
         raise PreconditionError("the evaluation window must be bounded")
     phi = _integrand(problem)
     hull = problem.range_hull
@@ -204,11 +205,28 @@ def dvi_mean(problem: MeanProblem) -> MeanResult:
     detail = {"range_hull": str(hull), "generalized": generalized, **extra}
     slack = max(1e-6, 1e-6 * abs(value), 10.0 * err)
     if not hull.contains(value, slack=slack):
-        raise IsomeanError(
-            f"computed mean {value} escapes the value hull {hull}; "
-            "the intermediate-value guarantee failed"
-        )
+        hull = _hull_with_end_limits(problem)
+        if not hull.contains(value, slack=slack):
+            raise IsomeanError(
+                f"computed mean {value} escapes the value hull {hull}; "
+                "the intermediate-value guarantee failed"
+            )
     return MeanResult(value, err, method, detail)
+
+
+def _hull_with_end_limits(problem: MeanProblem) -> Interval:
+    """The value hull widened by f's finite one-sided limits at the open
+    ends of the window, which the sampled hull only approaches."""
+    d, m = problem.fdomain, problem.range_hull
+    fvec = as_vector_fn(problem.f)
+    values = [m.lo, m.hi]
+    for side, is_open in (("lo", d.lo_open), ("hi", d.hi_open)):
+        if is_open:
+            try:
+                values.append(_limit_toward(fvec, d, side))
+            except DomainError:
+                pass
+    return hull_of(v for v in values if math.isfinite(v))
 
 
 def dvi_mean_riemann_oracle(problem: MeanProblem, n: int) -> float:
@@ -222,18 +240,14 @@ def dvi_mean_riemann_oracle(problem: MeanProblem, n: int) -> float:
     if n < 2:
         raise PreconditionError("the midpoint rule needs at least two cells")
     d = problem.fdomain
-    if not d.bounded or d.lo_open or d.hi_open or d.degenerate:
+    if d.lo_open or d.hi_open or d.degenerate:
         raise PreconditionError("the oracle needs a closed bounded window")
     g, h = problem.frame.g, problem.frame.h
     ga, gb = g(d.lo), g(d.hi)
     us = ga + (np.arange(n) + 0.5) * (gb - ga) / n
 
-    xs: Optional[np.ndarray] = None
-    if g._steps is not None:
-        candidate = apply_steps_numpy(g._steps, us)
-        if candidate is not None and np.all(np.isfinite(candidate)):
-            xs = candidate
-    if xs is None:
+    xs = apply_steps(g._steps, us) if g._steps is not None else None
+    if xs is None or not np.all(np.isfinite(xs)):
         xs = invert_many_bracketed(g.value_many, d.lo, d.hi, us, g.increasing)
     vals = h.value_many(as_vector_fn(problem.f)(xs))
     if not np.all(np.isfinite(vals)):
@@ -535,7 +549,7 @@ class ConjugationReport:
 def conjugation_classII(f: FnLike, g: FnLike, fdomain: Interval) -> ConjugationReport:
     if fdomain.degenerate:
         raise PreconditionError("conjugation needs a non-degenerate window")
-    if not fdomain.bounded or fdomain.lo_open or fdomain.hi_open:
+    if fdomain.lo_open or fdomain.hi_open:
         raise PreconditionError("conjugation needs a closed bounded window")
     fm = generator_map(_coerce_f(f), fdomain)
     gm = generator_map(_coerce_f(g), fdomain)

@@ -2,9 +2,12 @@
 
 Two routes: a closed-form unwinding of affine/power/exp/ln/reciprocal/sqrt
 chains, and a bracketed numeric fallback (bisection to 1e-8, then Newton
-polish).  Candidates from the closed form are always residual-checked, so a
-wrong branch (even powers on a negative domain, say) falls through to the
-numeric route instead of returning silently wrong values.
+polish).  :func:`closed_form_steps` writes the unwinding down once as a step
+list, and :func:`apply_steps` is its one reader: on an array of values it
+gives candidate preimages, on an expression the inverse map's expression.
+Candidates from the closed form are always residual-checked, so a wrong
+branch (even powers on a negative domain, say) falls through to the numeric
+route instead of returning silently wrong values.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._errors import InversionError
+from . import expr as E
 from .expr import Expr
 from .intervals import Interval
 
@@ -101,69 +105,46 @@ def closed_form_steps(e: Expr):
     return tuple(steps)
 
 
-def _signed_root(u: float, c: float) -> Optional[float]:
+def _real_root(u: np.ndarray, c: float) -> np.ndarray:
+    """The real solution x of x^c = u: NaN where there is none.
+
+    A negative u has one only for an odd integer c (negative ones too).
+    """
     inv = 1.0 / c
-    if u > 0.0:
-        try:
-            return math.pow(u, inv)
-        except OverflowError:
-            return None
-    if u == 0.0:
-        return 0.0 if c > 0 else None
-    # negative u: only an odd integer exponent has a real root
-    if c == int(c) and int(c) % 2 != 0:
-        try:
-            return -math.pow(-u, inv)
-        except OverflowError:
-            return None
-    return None
+    at_zero = 0.0 if c > 0 else np.nan
+    below = -np.power(-u, inv) if c % 2 == 1 else np.nan
+    return np.where(u > 0, np.power(u, inv), np.where(u == 0, at_zero, below))
 
 
-def apply_steps_scalar(steps, u: float) -> Optional[float]:
-    for op, c in steps:
-        if op == "neg":
-            u = -u
-        elif op == "sub_c":
-            u = u - c
-        elif op == "add_c":
-            u = u + c
-        elif op == "rsub_c":
-            u = c - u
-        elif op == "div_c":
-            u = u / c
-        elif op == "mul_c":
-            u = u * c
-        elif op == "rdiv_c":
-            if u == 0.0:
-                return None
-            u = c / u
-        elif op == "root":
-            r = _signed_root(u, c)
-            if r is None:
-                return None
-            u = r
-        elif op == "log_base":
-            if u <= 0.0:
-                return None
-            u = math.log(u) / math.log(c)
-        elif op == "ln":
-            if u <= 0.0:
-                return None
-            u = math.log(u)
-        elif op == "exp":
-            try:
-                u = math.exp(u)
-            except OverflowError:
-                return None
-        elif op == "square":
-            u = u * u
-        if not math.isfinite(u):
-            return None
-    return u
+# The steps that are not plain arithmetic, for each kind of argument.
+_ARRAY_STEPS = {
+    "ln": lambda u, c: np.log(u),
+    "exp": lambda u, c: np.exp(u),
+    "rdiv_c": lambda u, c: np.where(u == 0.0, np.nan, c / u),
+    "root": _real_root,
+}
+_EXPR_STEPS = {
+    "ln": lambda u, c: E.ln(u),
+    "exp": lambda u, c: E.exp(u),
+    "rdiv_c": lambda u, c: c / u,
+    "root": lambda u, c: u ** (1.0 / c),
+}
 
 
-def apply_steps_numpy(steps, us: np.ndarray) -> np.ndarray:
-    u = np.asarray(us, dtype=float).copy()
+def apply_steps(steps, u):
+    """Run the steps of :func:`closed_form_steps` on `u`.
+
+    `u` is an array of map values, which comes back as the candidate
+    preimages (NaN where a step has no real result), or an :class:`Expr`,
+    which comes back as the inverse map's expression.  The expression has
+    no real odd root, so ``x^3`` on negative values inverts only as an
+    array.
+    """
+    if isinstance(u, Expr):
+        table = _EXPR_STEPS
+    else:
+        table = _ARRAY_STEPS
+        u = np.asarray(u, dtype=float)
     with np.errstate(all="ignore"):
         for op, c in steps:
             if op == "neg":
@@ -178,25 +159,12 @@ def apply_steps_numpy(steps, us: np.ndarray) -> np.ndarray:
                 u = u / c
             elif op == "mul_c":
                 u = u * c
-            elif op == "rdiv_c":
-                u = np.where(u == 0.0, np.nan, c / u)
-            elif op == "root":
-                inv = 1.0 / c
-                odd = c == int(c) and int(c) % 2 != 0
-                pos = np.power(np.where(u > 0, u, np.nan), inv)
-                if odd:
-                    negpart = -np.power(np.where(u < 0, -u, np.nan), inv)
-                    u = np.where(u > 0, pos, np.where(u < 0, negpart, np.where(c > 0, 0.0, np.nan)))
-                else:
-                    u = np.where(u > 0, pos, np.where(u == 0, 0.0 if c > 0 else np.nan, np.nan))
-            elif op == "log_base":
-                u = np.log(u) / math.log(c)
-            elif op == "ln":
-                u = np.log(u)
-            elif op == "exp":
-                u = np.exp(u)
             elif op == "square":
-                u = u * u
+                u = u ** 2
+            elif op == "log_base":
+                u = table["ln"](u, c) / math.log(c)
+            else:
+                u = table[op](u, c)
     return u
 
 

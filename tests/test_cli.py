@@ -10,6 +10,8 @@ import math
 
 import pytest
 
+from isomean import funmean
+from isomean._errors import IsomeanError
 from isomean.bivariate import cauchy_mean_value
 from isomean.cli import main
 from isomean.funmean import class_V_mean, geometric_mean
@@ -343,11 +345,27 @@ def test_exit_subdivision_cap_binds_the_limit_route(run, monkeypatch):
     assert "divergent" in err
 
 
-def test_exit_hull_escape_is_a_failure_not_a_traceback(run):
-    rc, _, err = run("mean", "--class", "elastic", "--f", "x", "--a", "0", "--b", "1.6621")
+def test_exit_hull_escape_is_a_failure_not_a_traceback(run, monkeypatch):
+    # A bare IsomeanError, as dvi_mean raises for a mean outside the hull.
+    def escape(problem):
+        raise IsomeanError("computed mean 2.0 escapes the value hull [0.0, 1.0]")
+
+    monkeypatch.setattr(funmean, "dvi_mean", escape)
+    rc, _, err = run("mean", "--class", "VI", "--f", "x", "--a", "0", "--b", "1")
     assert rc == 1
     assert "escapes the value hull" in err
     assert "Traceback" not in err
+
+
+def test_elastic_mean_of_a_function_vanishing_at_zero(run):
+    # The sampled hull starts above 0; the mean f(0+) = 0 lies at its limit.
+    rc, out, err = run(
+        "mean", "--class", "elastic", "--f", "x", "--a", "0", "--b", "1.6621",
+        "--format", "json",
+    )
+    assert rc == 0, err
+    rec = json.loads(out)
+    assert abs(rec["value"]) <= rec["err"]
 
 
 @pytest.mark.parametrize(

@@ -88,6 +88,12 @@ class TestNamedMeans:
             got = elastic_mean("x", Interval(a, b)).value
             assert got == pytest.approx((b - a) / math.log(b / a), rel=1e-10)
 
+    def test_elastic_mean_of_a_function_vanishing_at_zero(self):
+        # the sampled hull starts at 1e-6 * 1.6621; the mean, f(0+) = 0, is
+        # the limit of f at the open end
+        r = elastic_mean("x", Interval(0.0, 1.6621))
+        assert abs(r.value) <= r.abs_error_estimate
+
     def test_elastic_mean_of_tangent_quarter_period(self):
         # ln, the x-map, is undefined at 0: only this window needs the limit
         r = elastic_mean("tan(x)", Interval(0.0, HALF_PI, lo_open=True, hi_open=True))
@@ -202,6 +208,13 @@ class TestEngine:
         p = mean_problem("2+sin(x)", 0.0, 3.0, self.frame())
         fine = dvi_mean_riemann_oracle(p, 65536)
         assert dvi_mean(p).value == pytest.approx(fine, abs=1e-4)
+
+    def test_riemann_oracle_inverts_an_odd_power_on_negative_values(self):
+        d = Interval(-2.0, -1.0)
+        fr = make_frame((generator_map("x^3", d), generator_map("y", Interval(0.5, 2.0))))
+        p = mean_problem("2+sin(x)", -2.0, -1.0, fr)
+        fine = dvi_mean_riemann_oracle(p, 4096)
+        assert dvi_mean(p).value == pytest.approx(fine, abs=1e-6)
 
     def test_unbonded_problem_is_rejected(self):
         # 2+sin dips to 1.0 on [0, 3]; a value map living on [2.5, 9] misses it

@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and no private top-level name goes unreferenced by the whole package."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,47 @@ def test_scan_counts_attribute_bases_and_annotations():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_private_names(sources: dict) -> list:
+    """Private top-level names of `sources` that no source references.
+
+    `sources` maps a module name to its text.  A private name starts with
+    one underscore and is bound at module level by a ``def``, a ``class`` or
+    an assignment.  It is referenced when any source loads it as an
+    ``ast.Name`` or reads it as an attribute (``frame._limit_toward``).
+    """
+    defined = {}
+    referenced = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[f"{module}.{name}"] = name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return sorted(q for q, name in defined.items() if name not in referenced)
+
+
+def test_dead_name_scan_finds_unreferenced_private_names():
+    sources = {
+        "a": "_USED = 1\n_DEAD = 2\ndef _helper():\n    return _USED\nclass _Gone:\n    pass\n",
+        "b": "from . import a\nprint(a._helper())\n",
+    }
+    assert dead_private_names(sources) == ["a._DEAD", "a._Gone"]
+
+
+def test_package_has_no_dead_private_names():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert dead_private_names(sources) == []

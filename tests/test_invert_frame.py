@@ -37,6 +37,21 @@ def test_bracketed_inverse_for_composite_shapes():
         assert invert_eval(g, u) == pytest.approx(x, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "source, lo, hi, u, want",
+    [
+        ("x^3", -2.0, 2.0, -1.0, -1.0),
+        ("x^-3", -2.0, -0.5, -0.3, -(0.3 ** (-1.0 / 3.0))),
+    ],
+)
+def test_odd_powers_invert_negative_values_in_closed_form(source, lo, hi, u, want):
+    g = generator_map(source, Interval(lo, hi))
+    assert g.inverse_strategy == "closed-form"
+    assert invert_eval(g, u) == pytest.approx(want, rel=1e-14)
+    # x^(1/3) is undefined for negative values, so the inverse map is numeric
+    assert g.inverse().inverse_strategy == "bracketed-numeric"
+
+
 def test_image_matches_endpoint_values():
     g = generator_map("exp(x)", Interval(0.0, 1.0))
     assert g.image.lo == pytest.approx(1.0)
@@ -46,6 +61,22 @@ def test_image_matches_endpoint_values():
     # decreasing maps still report an ordered image
     assert dec.image.lo == pytest.approx(1.0)
     assert dec.image.hi == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize(
+    "source, domain, lo, hi",
+    [
+        # exp overflows from x = 1e3 on: the sequence stops there, so +inf
+        ("exp(x)", Interval(0.0, math.inf), 1.0, math.inf),
+        # ln's steps toward 0 do not shrink: the limit diverges
+        ("ln(x)", Interval(0.0, 1.0, lo_open=True), -math.inf, 0.0),
+        # 1/x settles: the limit is its value at the last point, 1e13
+        ("1/x", Interval(1.0, math.inf), 1e-13, 1.0),
+    ],
+)
+def test_image_takes_the_limit_at_open_ends(source, domain, lo, hi):
+    g = generator_map(source, domain)
+    assert (g.image.lo, g.image.hi) == (lo, hi)
 
 
 def test_non_monotone_source_is_rejected():
