@@ -6,6 +6,19 @@ arithmetic operators, pow, and the elementary functions ln, exp, sin, cos,
 tan, sinh, cosh, abs, sqrt — so that every expression has a symbolic
 derivative and a known inversion recipe or monotone bracket.  Composition
 happens through substitution of the single variable.
+
+Nothing here recurses.  Differentiation, substitution, printing and
+lowering are folds over one explicit-stack post-order walk.  Lowering
+turns a tree into a program: its distinct constants, then ``(op, i, j)``
+steps in evaluation order, each reading the slots of earlier ones.
+Structurally equal subtrees share a slot.  The program and the derivative
+are cached on the node.
+
+One loop, :func:`_run`, runs a program.  Negation, ``+``, ``-`` and ``*``
+are Python's operators; an op table supplies the elementary functions,
+``/`` and ``^``.  ``_SCALAR`` holds ``math`` for :func:`evaluate`, which
+raises on a domain error or a non-finite intermediate.  ``_ARRAY`` holds
+NumPy for :func:`compile_numpy`, where bad points come out NaN or inf.
 """
 
 from __future__ import annotations
@@ -18,38 +31,15 @@ import numpy as np
 
 from ._errors import DomainError, PreconditionError
 
-_MATH_FN = {
-    "ln": math.log,
-    "exp": math.exp,
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "abs": abs,
-    "sqrt": math.sqrt,
-}
-
-_NUMPY_FN = {
-    "neg": np.negative,
-    "ln": np.log,
-    "exp": np.exp,
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "abs": np.abs,
-    "sqrt": np.sqrt,
-}
-
 
 @dataclass(frozen=True)
 class Expr:
     """One node of an expression tree.
 
     `op` is the node tag, `args` the child nodes, and `value` carries the
-    payload of a ``const`` node.  Instances are immutable and hashable.
+    payload of a ``const`` node.  Instances are immutable and hashable;
+    the lowered program and the derivative are cached on the node the
+    first time they are asked for.
     """
 
     op: str
@@ -173,58 +163,152 @@ def powx(a: Expr, b: Expr) -> Expr:
         return a
     if a.op == "const" and b.op == "const":
         try:
-            return const(math.pow(a.value, b.value))
+            return const(_SCALAR["pow"](a.value, b.value))
         except (ValueError, OverflowError):
             pass  # out of domain: keep the node, evaluation will raise
     return Expr("pow", (a, b))
 
 
-def _fold_unary(op: str, a: Expr) -> Expr:
-    if a.op == "const":
-        try:
-            return const(_MATH_FN[op](a.value))
-        except (ValueError, OverflowError):
-            pass
-    return Expr(op, (a,))
+def _unary(op: str) -> Callable[[Expr], Expr]:
+    """The constructor of `op` nodes: a constant argument is folded through
+    the scalar table unless that leaves the domain."""
+
+    def build(a: Expr) -> Expr:
+        if a.op == "const":
+            try:
+                return const(_SCALAR[op](a.value))
+            except (ValueError, OverflowError):
+                pass
+        return Expr(op, (a,))
+
+    build.__name__ = build.__qualname__ = op
+    return build
 
 
-def ln(a: Expr) -> Expr:
-    return _fold_unary("ln", a)
+# The constructor of every operator node, by op.
+_BUILD = {op: _unary(op) for op in ("ln", "exp", "sin", "cos", "tan", "sinh", "cosh", "abs", "sqrt")}
+ln, exp, sin, cos, tan, sinh, cosh, absx, sqrt = _BUILD.values()
+_BUILD.update(neg=neg, add=add, sub=sub, mul=mul, div=div, pow=powx)
 
 
-def exp(a: Expr) -> Expr:
-    return _fold_unary("exp", a)
+# -- the walk -----------------------------------------------------------------
+
+_EXPANDED = object()  # stack marker: the node below it has its children done
 
 
-def sin(a: Expr) -> Expr:
-    return _fold_unary("sin", a)
+def _postorder(root: Expr) -> list:
+    """Each distinct node object under `root` once, children before their
+    parent and left before right, from an explicit stack."""
+    order, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if node is _EXPANDED:
+            node = stack.pop()
+        elif id(node) in seen:
+            continue
+        elif node.args:
+            stack += (node, _EXPANDED)
+            stack.extend(node.args[::-1])
+            continue
+        seen.add(id(node))
+        order.append(node)
+    return order
 
 
-def cos(a: Expr) -> Expr:
-    return _fold_unary("cos", a)
+def _fold(root: Expr, visit):
+    """visit(node, results of its children) at every node; root's result.
+
+    Nodes are keyed by identity, never hashed: Expr's hash and eq recurse.
+    """
+    done = {}
+    for node in _postorder(root):
+        args = node.args
+        done[id(node)] = visit(node, [done[id(a)] for a in args] if args else ())
+    return done[id(root)]
 
 
-def tan(a: Expr) -> Expr:
-    return _fold_unary("tan", a)
+def _cached(e: Expr, name: str, build):
+    """build(e), computed once and kept on the node under `name`."""
+    if name not in e.__dict__:
+        object.__setattr__(e, name, build(e))
+    return e.__dict__[name]
 
 
-def sinh(a: Expr) -> Expr:
-    return _fold_unary("sinh", a)
+# -- the program ----------------------------------------------------------------
+
+def _scalar_div(a: float, b: float) -> float:
+    if b == 0.0:
+        raise ZeroDivisionError("division by zero")
+    return a / b
 
 
-def cosh(a: Expr) -> Expr:
-    return _fold_unary("cosh", a)
+def _array_pow(a, b):
+    if isinstance(b, float):
+        # A scalar exponent of 2, 0.5 or -1 sends NumPy to its square, sqrt
+        # or reciprocal shortcut; a full array keeps libm's pow at every point.
+        full = np.empty_like(a)
+        full.fill(b)
+        b = full
+    return np.power(a, b)
 
 
-def absx(a: Expr) -> Expr:
-    return _fold_unary("abs", a)
+_SCALAR = {
+    "ln": math.log, "exp": math.exp, "sin": math.sin, "cos": math.cos,
+    "tan": math.tan, "sinh": math.sinh, "cosh": math.cosh, "abs": abs,
+    "sqrt": math.sqrt, "div": _scalar_div, "pow": math.pow, "strict": True,
+}
+_ARRAY = {
+    "ln": np.log, "exp": np.exp, "sin": np.sin, "cos": np.cos,
+    "tan": np.tan, "sinh": np.sinh, "cosh": np.cosh, "abs": np.abs,
+    "sqrt": np.sqrt, "div": np.divide, "pow": _array_pow, "strict": False,
+}
 
 
-def sqrt(a: Expr) -> Expr:
-    return _fold_unary("sqrt", a)
+def _lower(root: Expr) -> tuple:
+    """The program of `root`, ``(constants, steps)``.
+
+    Slot 0 holds x, slots 1… the distinct constants, then one slot per step
+    ``(op, i, j)`` in evaluation order, the root's last.
+    """
+    nodes = _postorder(root)
+    slot_of, const_slot, step_slot = {}, {}, {}  # by id(node), by value, by step
+    for node in nodes:
+        if node.op == "const":  # keyed with its sign: -0.0 is not 0.0
+            key = (node.value, math.copysign(1.0, node.value))
+            slot_of[id(node)] = const_slot.setdefault(key, len(const_slot) + 1)
+        elif node.op == "var":
+            slot_of[id(node)] = 0
+    for node in nodes:
+        args = node.args
+        if args:
+            key = (node.op, slot_of[id(args[0])], slot_of[id(args[1])] if len(args) == 2 else -1)
+            slot_of[id(node)] = step_slot.setdefault(key, 1 + len(const_slot) + len(step_slot))
+    return tuple(v for v, _ in const_slot), tuple(step_slot)
 
 
-# -- evaluation ---------------------------------------------------------------
+def _run(prog: tuple, x, table: dict):
+    """Run a program at `x` with the functions of `table`; the root's value."""
+    consts, steps = prog
+    strict = table["strict"]
+    vals = [x, *consts]
+    push = vals.append
+    for op, i, j in steps:
+        if j < 0:
+            push(-vals[i] if op == "neg" else table[op](vals[i]))
+            continue
+        if op == "add":
+            r = vals[i] + vals[j]
+        elif op == "mul":
+            r = vals[i] * vals[j]
+        elif op == "sub":
+            r = vals[i] - vals[j]
+        else:
+            r = table[op](vals[i], vals[j])
+        if strict and not math.isfinite(r):
+            raise OverflowError("intermediate value not finite")
+        push(r)
+    return vals[-1]
+
 
 def evaluate(e: Expr, x: float) -> float:
     """Evaluate `e` at the point `x`.
@@ -232,7 +316,7 @@ def evaluate(e: Expr, x: float) -> float:
     Returns a finite float or raises DomainError — never a silent NaN/inf.
     """
     try:
-        v = _eval(e, float(x))
+        v = _run(_cached(e, "_prog", _lower), float(x), _SCALAR)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise DomainError(f"evaluation failed at x={x}: {exc}") from exc
     if not math.isfinite(v):
@@ -240,130 +324,112 @@ def evaluate(e: Expr, x: float) -> float:
     return v
 
 
-def _eval(e: Expr, x: float) -> float:
-    op = e.op
-    if op == "const":
-        return e.value
-    if op == "var":
-        return x
-    if op == "neg":
-        return -_eval(e.args[0], x)
-    if op in _MATH_FN:
-        return _MATH_FN[op](_eval(e.args[0], x))
-    a = _eval(e.args[0], x)
-    b = _eval(e.args[1], x)
-    if op == "add":
-        v = a + b
-    elif op == "sub":
-        v = a - b
-    elif op == "mul":
-        v = a * b
-    elif op == "div":
-        if b == 0.0:
-            raise ZeroDivisionError("division by zero")
-        v = a / b
-    elif op == "pow":
-        v = math.pow(a, b)
-    else:  # pragma: no cover - closed node set
-        raise PreconditionError(f"unknown node op {op!r}")
-    if not math.isfinite(v):
-        raise OverflowError("intermediate value not finite")
-    return v
+def compile_numpy(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile `e` into a vectorized ndarray→ndarray function.
+
+    Out-of-domain samples come back as NaN/inf rather than raising, so
+    callers doing grid work can mark bad points instead of aborting.
+    """
+    prog = _cached(e, "_prog", _lower)
+
+    def compiled(x):
+        arr = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            out = _run(prog, arr, _ARRAY)
+        if np.ndim(out) == 0:
+            out = np.full_like(arr, float(out))
+        return out
+
+    return compiled
 
 
 def depends_on_var(e: Expr) -> bool:
-    if e.op == "var":
-        return True
-    return any(depends_on_var(a) for a in e.args)
+    return any(node.op == "var" for node in _postorder(e))
 
 
 # -- symbolic differentiation -------------------------------------------------
 
 def differentiate(e: Expr) -> Expr:
     """Symbolic derivative with respect to the single variable."""
+    return _cached(e, "_diff", lambda root: _fold(root, _derivative)[0])
+
+
+# d/dx op(u) from u, the node op(u) itself, and u′.
+_CHAIN = {
+    "neg": lambda u, e, du: neg(du),
+    "ln": lambda u, e, du: div(du, u),
+    "exp": lambda u, e, du: mul(e, du),
+    "sin": lambda u, e, du: mul(cos(u), du),
+    "cos": lambda u, e, du: neg(mul(sin(u), du)),
+    "tan": lambda u, e, du: div(du, powx(cos(u), const(2.0))),
+    "sinh": lambda u, e, du: mul(cosh(u), du),
+    "cosh": lambda u, e, du: mul(sinh(u), du),
+    # u u′/|u|; undefined at u = 0, which is the correct domain.
+    "abs": lambda u, e, du: div(mul(u, du), absx(u)),
+    "sqrt": lambda u, e, du: div(du, mul(const(2.0), sqrt(u))),
+}
+
+
+def _derivative(e: Expr, kids: list) -> tuple:
+    """(e′, whether e depends on x), from the same pair for each child."""
     op = e.op
     if op == "const":
-        return const(0.0)
+        return const(0.0), False
     if op == "var":
-        return const(1.0)
-    if op == "neg":
-        return neg(differentiate(e.args[0]))
+        return const(1.0), True
+    if len(kids) == 1:
+        du, dep = kids[0]
+        return _CHAIN[op](e.args[0], e, du), dep
+    a, b = e.args
+    (da, a_dep), (db, b_dep) = kids
+    dep = a_dep or b_dep
     if op == "add":
-        return add(differentiate(e.args[0]), differentiate(e.args[1]))
+        return add(da, db), dep
     if op == "sub":
-        return sub(differentiate(e.args[0]), differentiate(e.args[1]))
+        return sub(da, db), dep
     if op == "mul":
-        a, b = e.args
-        return add(mul(differentiate(a), b), mul(a, differentiate(b)))
+        return add(mul(da, b), mul(a, db)), dep
     if op == "div":
-        a, b = e.args
-        num = sub(mul(differentiate(a), b), mul(a, differentiate(b)))
-        return div(num, powx(b, const(2.0)))
-    if op == "pow":
-        a, b = e.args
-        da = differentiate(a)
-        if not depends_on_var(b):
-            # c constant: d/dx a^c = c a^(c-1) a'; keeps the domain of a^c
-            # (the general rule would introduce ln a).
-            return mul(mul(b, powx(a, sub(b, const(1.0)))), da)
-        db = differentiate(b)
-        if not depends_on_var(a):
-            # a constant: d/dx a^g = a^g ln(a) g'
-            return mul(mul(e, ln(a)), db)
-        # general: a^b (b' ln a + b a'/a)
-        return mul(e, add(mul(db, ln(a)), mul(b, div(da, a))))
-    arg = e.args[0]
-    d = differentiate(arg)
-    if op == "ln":
-        return div(d, arg)
-    if op == "exp":
-        return mul(e, d)
-    if op == "sin":
-        return mul(cos(arg), d)
-    if op == "cos":
-        return neg(mul(sin(arg), d))
-    if op == "tan":
-        return div(d, powx(cos(arg), const(2.0)))
-    if op == "sinh":
-        return mul(cosh(arg), d)
-    if op == "cosh":
-        return mul(sinh(arg), d)
-    if op == "abs":
-        # f f'/|f|; undefined at f = 0, which is the correct domain.
-        return div(mul(arg, d), absx(arg))
-    if op == "sqrt":
-        return div(d, mul(const(2.0), sqrt(arg)))
-    raise PreconditionError(f"unknown node op {op!r}")  # pragma: no cover
+        return div(sub(mul(da, b), mul(a, db)), powx(b, const(2.0))), dep
+    if not b_dep:
+        # c constant: d/dx a^c = c a^(c-1) a'; keeps the domain of a^c
+        # (the general rule would introduce ln a).
+        return mul(mul(b, powx(a, sub(b, const(1.0)))), da), dep
+    if not a_dep:
+        # a constant: d/dx a^g = a^g ln(a) g'
+        return mul(mul(e, ln(a)), db), dep
+    # general: a^b (b' ln a + b a'/a)
+    return mul(e, add(mul(db, ln(a)), mul(b, div(da, a)))), dep
 
 
 # -- composition --------------------------------------------------------------
 
 def substitute(e: Expr, replacement: Expr) -> Expr:
     """Replace the variable of `e` by `replacement` (composition e∘replacement)."""
-    op = e.op
-    if op == "const":
-        return e
-    if op == "var":
-        return replacement
-    rebuilt = tuple(substitute(a, replacement) for a in e.args)
-    if op == "neg":
-        return neg(rebuilt[0])
-    if op == "add":
-        return add(*rebuilt)
-    if op == "sub":
-        return sub(*rebuilt)
-    if op == "mul":
-        return mul(*rebuilt)
-    if op == "div":
-        return div(*rebuilt)
-    if op == "pow":
-        return powx(*rebuilt)
-    return _fold_unary(op, rebuilt[0])
+
+    def visit(node, kids):
+        if node.op == "var":
+            return replacement
+        return _BUILD[node.op](*kids) if kids else node
+
+    return _fold(e, visit)
 
 
 # -- printing -----------------------------------------------------------------
 
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
+_LEVEL = {"add": _LEVEL_ADD, "sub": _LEVEL_ADD, "mul": _LEVEL_MUL, "div": _LEVEL_MUL,
+          "neg": _LEVEL_NEG, "pow": _LEVEL_POW}
+
+# Infix operators: symbol, and the levels below which the left and the
+# right operand are parenthesised.
+_INFIX = {
+    "add": (" + ", _LEVEL_ADD, _LEVEL_MUL),
+    "sub": (" - ", _LEVEL_ADD, _LEVEL_MUL),
+    "mul": ("*", _LEVEL_MUL, _LEVEL_NEG),
+    "div": ("/", _LEVEL_MUL, _LEVEL_NEG),
+    "pow": ("^", _LEVEL_ATOM, _LEVEL_POW),
+}
 
 
 def _fmt_number(v: float) -> str:
@@ -373,101 +439,30 @@ def _fmt_number(v: float) -> str:
 
 
 def _level(e: Expr) -> int:
-    op = e.op
-    if op in ("add", "sub"):
-        return _LEVEL_ADD
-    if op in ("mul", "div"):
-        return _LEVEL_MUL
-    if op == "neg" or (op == "const" and e.value < 0):
+    if e.op == "const" and e.value < 0:
         return _LEVEL_NEG
-    if op == "pow":
-        return _LEVEL_POW
-    return _LEVEL_ATOM
+    return _LEVEL.get(e.op, _LEVEL_ATOM)
 
 
-def _print(e: Expr, min_level: int) -> str:
-    s = _print_raw(e)
-    if _level(e) < min_level:
-        return f"({s})"
-    return s
+def _print_node(e: Expr, kids: list) -> str:
+    def operand(k, min_level):
+        return f"({kids[k]})" if _level(e.args[k]) < min_level else kids[k]
 
-
-def _print_raw(e: Expr) -> str:
     op = e.op
     if op == "const":
-        if e.value < 0:
-            return "-" + _fmt_number(-e.value)
-        return _fmt_number(e.value)
+        return ("-" if e.value < 0 else "") + _fmt_number(abs(e.value))
     if op == "var":
         return "x"
     if op == "neg":
-        return "-" + _print(e.args[0], _LEVEL_POW)
-    if op == "add":
-        return f"{_print(e.args[0], _LEVEL_ADD)} + {_print(e.args[1], _LEVEL_MUL)}"
-    if op == "sub":
-        return f"{_print(e.args[0], _LEVEL_ADD)} - {_print(e.args[1], _LEVEL_MUL)}"
-    if op == "mul":
-        return f"{_print(e.args[0], _LEVEL_MUL)}*{_print(e.args[1], _LEVEL_NEG)}"
-    if op == "div":
-        return f"{_print(e.args[0], _LEVEL_MUL)}/{_print(e.args[1], _LEVEL_NEG)}"
-    if op == "pow":
-        return f"{_print(e.args[0], _LEVEL_ATOM)}^{_print(e.args[1], _LEVEL_POW)}"
-    name = "abs" if op == "abs" else op
-    return f"{name}({_print(e.args[0], 0)})"
+        return "-" + operand(0, _LEVEL_POW)
+    if op in _INFIX:
+        symbol, left, right = _INFIX[op]
+        return operand(0, left) + symbol + operand(1, right)
+    return f"{op}({kids[0]})"
 
 
 def to_string(e: Expr) -> str:
-    return _print(e, 0)
-
-
-# -- vectorized evaluation ----------------------------------------------------
-
-def compile_numpy(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile `e` into a vectorized ndarray→ndarray function.
-
-    Out-of-domain samples come back as NaN/inf rather than raising, so
-    callers doing grid work can mark bad points instead of aborting.
-    """
-    fn = _compile(e)
-
-    def compiled(x):
-        arr = np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):
-            out = fn(arr)
-        if np.ndim(out) == 0:
-            out = np.full_like(arr, float(out))
-        return out
-
-    return compiled
-
-
-def _compile(e: Expr):
-    op = e.op
-    if op == "const":
-        v = e.value
-        return lambda x: np.full(np.shape(x), v)
-    if op == "var":
-        return lambda x: x
-    if op in _NUMPY_FN and op != "neg":
-        a = _compile(e.args[0])
-        f = _NUMPY_FN[op]
-        return lambda x: f(a(x))
-    if op == "neg":
-        a = _compile(e.args[0])
-        return lambda x: -a(x)
-    a = _compile(e.args[0])
-    b = _compile(e.args[1])
-    if op == "add":
-        return lambda x: a(x) + b(x)
-    if op == "sub":
-        return lambda x: a(x) - b(x)
-    if op == "mul":
-        return lambda x: a(x) * b(x)
-    if op == "div":
-        return lambda x: a(x) / b(x)
-    if op == "pow":
-        return lambda x: np.power(a(x), b(x))
-    raise PreconditionError(f"unknown node op {op!r}")  # pragma: no cover
+    return _fold(e, _print_node)
 
 
 ExprLike = Union[Expr, Callable[[float], float]]

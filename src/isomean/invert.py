@@ -108,12 +108,16 @@ def closed_form_steps(e: Expr):
 def _real_root(u: np.ndarray, c: float) -> np.ndarray:
     """The real solution x of x^c = u: NaN where there is none.
 
-    A negative u has one only for an odd integer c (negative ones too).
+    A negative u has one only for an odd integer c (negative ones too), and
+    u = 0 only for c > 0.
     """
-    inv = 1.0 / c
-    at_zero = 0.0 if c > 0 else np.nan
-    below = -np.power(-u, inv) if c % 2 == 1 else np.nan
-    return np.where(u > 0, np.power(u, inv), np.where(u == 0, at_zero, below))
+    x = np.power(np.abs(u), 1.0 / c)
+    odd = c % 2 == 1
+    if odd:
+        x = np.copysign(x, u)
+    if c > 0:
+        return x if odd else np.where(u < 0, np.nan, x)
+    return np.where(u == 0 if odd else u <= 0, np.nan, x)
 
 
 # The steps that are not plain arithmetic, for each kind of argument.

@@ -13,12 +13,18 @@ Precedence is therefore ^ (right-assoc, binding tighter than unary minus)
 then unary minus, then * /, then + -; so "-x^2" is -(x^2) and "2^3^2" is
 2^(3^2) = 512.  Numbers are decimals with an optional exponent part.
 Syntax errors carry the byte offset of the offending input.
+
+Parentheses, function calls, unary minus and the right operand of ``^``
+each open one level of nesting, and input nested deeper than
+``MAX_NESTING`` levels is a syntax error.  Sums and products are parsed by
+loops, so a flat ``x+x+…+x`` has no length limit.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from functools import lru_cache
 
 from ._errors import ExprSyntaxError
 from . import expr as E
@@ -49,6 +55,9 @@ _FUNCTIONS = {
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 _VARIABLES = ("x", "y")
+
+# Deepest nesting the parser accepts (see the module docstring).
+MAX_NESTING = 100
 
 
 class _Token:
@@ -83,6 +92,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     @property
     def tok(self) -> _Token:
@@ -103,6 +113,15 @@ class _Parser:
         t = self.tok
         return t.kind == "op" and t.text in symbols
 
+    def nested(self, opener: _Token, parse_inner) -> Expr:
+        """parse_inner() one level of nesting deeper; `opener` opens the level."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", opener.offset)
+        node = parse_inner()
+        self.depth -= 1
+        return node
+
     def parse_expr(self) -> Expr:
         node = self.parse_term()
         while self.at_op("+", "-"):
@@ -121,16 +140,13 @@ class _Parser:
 
     def parse_factor(self) -> Expr:
         if self.at_op("-"):
-            self.advance()
-            return E.neg(self.parse_factor())
+            return E.neg(self.nested(self.advance(), self.parse_factor))
         return self.parse_power()
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
         if self.at_op("^"):
-            self.advance()
-            exponent = self.parse_factor()
-            return E.powx(base, exponent)
+            return E.powx(base, self.nested(self.advance(), self.parse_factor))
         return base
 
     def parse_atom(self) -> Expr:
@@ -146,14 +162,12 @@ class _Parser:
             if name in _CONSTANTS:
                 return E.const(_CONSTANTS[name])
             if name in _FUNCTIONS:
-                self.expect_op("(")
-                inner = self.parse_expr()
+                inner = self.nested(self.expect_op("("), self.parse_expr)
                 self.expect_op(")")
                 return _FUNCTIONS[name](inner)
             raise ExprSyntaxError(f"unknown identifier {name!r}", t.offset)
         if self.at_op("("):
-            self.advance()
-            inner = self.parse_expr()
+            inner = self.nested(self.advance(), self.parse_expr)
             self.expect_op(")")
             return inner
         raise ExprSyntaxError(
@@ -164,8 +178,13 @@ class _Parser:
         )
 
 
+@lru_cache(maxsize=128)
 def parse(text: str) -> Expr:
-    """Parse an expression string into an Expr tree."""
+    """Parse an expression string into an Expr tree.
+
+    The same text gives the same tree, so the program and the derivative
+    cached on its nodes are built once (the tree is immutable).
+    """
     tokens = _tokenize(text)
     parser = _Parser(tokens)
     node = parser.parse_expr()

@@ -295,6 +295,27 @@ def test_exit_syntax_error(run):
     assert "syntax" in err
 
 
+@pytest.mark.parametrize(
+    "deep",
+    ["(" * 2000 + "x" + ")" * 2000, "-" * 2000 + "x", "^".join(["x"] * 2000)],
+    ids=["parentheses", "unary-minus", "power-chain"],
+)
+def test_exit_deep_nesting_is_a_syntax_error(run, deep):
+    rc, _, err = run("mean", "--class", "I", f"--f={deep}", "--h", "x", "--a", "1", "--b", "2")
+    assert rc == 2
+    assert "nested deeper than 100 levels" in err
+    assert "Traceback" not in err
+
+
+def test_mean_of_a_3000_term_sum(run):
+    rc, out, _ = run(
+        "mean", "--class", "I", "--f", "x", "--h", "+".join(["x"] * 3000),
+        "--a", "1", "--b", "2", "--format", "json",
+    )
+    assert rc == 0
+    assert json.loads(out)["value"] == pytest.approx(1.5, rel=1e-12)
+
+
 def test_exit_variable_endpoint(run):
     rc, _, _ = run("mean", "--class", "VI", "--f", "x", "--a", "x+1", "--b", "2")
     assert rc == 2

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from isomean import expr as E
 from isomean.expr import (
     ScaleShift,
     as_scalar_fn,
@@ -16,9 +17,10 @@ from isomean.expr import (
     h_scaleshift_interval,
     hv_scaleshift,
     substitute,
+    to_string,
     v_scaleshift,
 )
-from isomean._errors import PreconditionError
+from isomean._errors import DomainError, PreconditionError
 from isomean.intervals import Interval
 from isomean.parse import parse
 
@@ -80,6 +82,60 @@ def test_substitute_composes():
     comp = substitute(outer, inner)
     for x in (0.3, 1.2):
         assert evaluate(comp, x) == pytest.approx(math.sin(x) ** 2 + 1.0, rel=1e-15)
+
+
+def test_every_intermediate_value_must_be_finite():
+    # exp(1000) overflows although exp(-exp(1000)) would round to 0.
+    with pytest.raises(DomainError, match="evaluation failed at x=1000"):
+        evaluate(parse("exp(-exp(x))"), 1000)
+    # x*x overflows although 1/(x*x) would round to 0.
+    with pytest.raises(DomainError, match="intermediate value not finite"):
+        evaluate(parse("1/(x*x)"), 1e200)
+    with pytest.raises(DomainError, match="division by zero"):
+        evaluate(parse("1/x"), 0.0)
+    # The array view keeps going: bad points come out as they fall.
+    np.testing.assert_array_equal(compile_numpy(parse("1/(x*x)"))(np.array([1e200, 0.0])), [0.0, np.inf])
+
+
+def slots(e):
+    consts, steps = E._lower(e)
+    return 1 + len(consts) + len(steps)
+
+
+def test_lowering_shares_structurally_equal_subtrees():
+    d2 = differentiate(differentiate(parse("ln(x)^2/(1+exp(-x))")))
+    assert slots(d2) <= 37  # the tree has 127 nodes
+    xs = np.linspace(0.5, 3.0, 15)
+    np.testing.assert_allclose(compile_numpy(d2)(xs), [evaluate(d2, x) for x in xs], rtol=1e-13)
+
+
+def test_lowering_keeps_negative_zero_apart_from_zero():
+    one = E.const(1.0)
+    e = E.sub(E.div(one, E.const(0.0)), E.div(one, E.const(-0.0)))  # inf - (-inf)
+    np.testing.assert_array_equal(compile_numpy(e)(np.array([1.0, 2.0])), [np.inf, np.inf])
+
+
+def test_trees_and_their_derivative_and_program_are_cached():
+    e = parse("x*sin(x)")
+    assert parse("x*sin(x)") is e  # the same text gives the same tree
+    assert differentiate(e) is differentiate(e)
+    assert E._cached(e, "_prog", E._lower) is E._cached(e, "_prog", E._lower)
+
+
+def test_deep_trees_need_no_recursion():
+    n = 5000
+    total = parse("+".join(["x"] * n))
+    nest = E.var()
+    for _ in range(n):
+        nest = E.sin(nest)
+    assert evaluate(total, 1.5) == 1.5 * n
+    np.testing.assert_array_equal(compile_numpy(total)(np.array([1.0, 2.0])), [n, 2.0 * n])
+    assert differentiate(total).value == n
+    assert depends_on_var(total) and not depends_on_var(substitute(total, E.const(1.0)))
+    assert to_string(total) == " + ".join(["x"] * n)
+    assert evaluate(nest, 1.0) == pytest.approx(compile_numpy(nest)(np.array([1.0]))[0], rel=1e-14)
+    assert evaluate(differentiate(nest), 1.0) > 0.0
+    assert to_string(nest) == "sin(" * n + "x" + ")" * n
 
 
 class TestScaleShift:

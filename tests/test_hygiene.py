@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no private top-level name goes unreferenced by the whole package."""
+no private top-level name goes unreferenced by the whole package, and no
+function of the expression module recurses."""
 
 import ast
 from pathlib import Path
@@ -87,3 +88,33 @@ def test_dead_name_scan_finds_unreferenced_private_names():
 def test_package_has_no_dead_private_names():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert dead_private_names(sources) == []
+
+
+def self_references(source: str) -> list:
+    """Functions of `source`, nested ones included, that refer to their own
+    name: a call such as ``walk(x)`` or ``self.walk(x)``, or the function
+    handed on as in ``map(walk, xs)``."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Name) and node.id == fn.name) or (
+                    isinstance(node, ast.Attribute) and node.attr == fn.name
+                ):
+                    found.append(f"{fn.name} (line {node.lineno})")
+    return found
+
+
+def test_self_reference_scan_finds_recursion():
+    src = (
+        "def depth(e):\n    return 1 + max(map(depth, e.args), default=0)\n"
+        "def size(e):\n    return 1 + sum(size(a) for a in e.args)\n"
+        "class T:\n    def walk(self, e):\n        return [self.walk(a) for a in e.args]\n"
+        "def outer(e):\n    def inner(a):\n        return inner(a)\n    return inner(e)\n"
+        "def flat(e):\n    return flatten(e)\n"
+    )
+    assert self_references(src) == ["depth (line 2)", "size (line 4)", "walk (line 7)", "inner (line 10)"]
+
+
+def test_expression_module_does_not_recurse():
+    assert self_references((PACKAGE / "expr.py").read_text()) == []

@@ -15,6 +15,7 @@ from isomean.frame import (
     make_frame,
 )
 from isomean.funmean import _log_map, class_I_mean
+from isomean.invert import _real_root
 from isomean.intervals import Interval
 from isomean.parse import parse
 
@@ -50,6 +51,23 @@ def test_odd_powers_invert_negative_values_in_closed_form(source, lo, hi, u, wan
     assert invert_eval(g, u) == pytest.approx(want, rel=1e-14)
     # x^(1/3) is undefined for negative values, so the inverse map is numeric
     assert g.inverse().inverse_strategy == "bracketed-numeric"
+
+
+def real_root_by_cases(u, c):
+    """The real solution of x^c = u, case by case: NaN where there is none."""
+    inv = 1.0 / c
+    at_zero = 0.0 if c > 0 else np.nan
+    below = -np.power(-u, inv) if c % 2 == 1 else np.nan
+    return np.where(u > 0, np.power(u, inv), np.where(u == 0, at_zero, below))
+
+
+@pytest.mark.parametrize("c", [3.0, -3.0, 2.0, 2.5])
+def test_real_root_matches_the_case_by_case_formula(c):
+    u = np.array([-2.0, -0.3, 0.0, 0.3, 2.0, np.nan])
+    with np.errstate(all="ignore"):
+        want = real_root_by_cases(u, c)
+        got = _real_root(u, c)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_image_matches_endpoint_values():

@@ -5,7 +5,7 @@ import pytest
 
 from isomean._errors import DomainError, ExprSyntaxError
 from isomean.expr import evaluate, to_string
-from isomean.parse import parse
+from isomean.parse import MAX_NESTING, parse
 
 
 @pytest.mark.parametrize(
@@ -94,3 +94,28 @@ def test_to_string_round_trips():
         back = parse(to_string(e))
         for x in (0.3, 1.1, 2.7):
             assert evaluate(back, x) == pytest.approx(evaluate(e, x), rel=1e-15)
+
+
+# Each kind of nesting: the input n levels deep, and the byte offset of the
+# token that opens level 101.
+NESTINGS = {
+    "parentheses": (lambda n: "(" * n + "x" + ")" * n, 100),
+    "calls": (lambda n: "sin(" * n + "x" + ")" * n, 403),
+    "unary minus": (lambda n: "-" * n + "x", 100),
+    "power chain": (lambda n: "^".join(["x"] * (n + 1)), 201),
+}
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_nesting_is_capped(kind):
+    make, offset = NESTINGS[kind]
+    parse(make(MAX_NESTING))
+    with pytest.raises(ExprSyntaxError, match="nested deeper than 100 levels") as err:
+        parse(make(MAX_NESTING + 1))
+    assert err.value.offset == offset
+
+
+def test_flat_sums_and_products_have_no_length_limit():
+    n = 20000
+    assert evaluate(parse("+".join(["x"] * n)), 0.5) == 0.5 * n
+    assert evaluate(parse("*".join(["x"] * n)), 1.0) == 1.0
