@@ -32,14 +32,17 @@ import numpy as np
 from ._errors import DomainError, PreconditionError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class Expr:
     """One node of an expression tree.
 
     `op` is the node tag, `args` the child nodes, and `value` carries the
     payload of a ``const`` node.  Instances are immutable and hashable;
-    the lowered program and the derivative are cached on the node the
-    first time they are asked for.
+    equality is structural, with constants compared by ``==`` (so 0.0 and
+    -0.0 are equal).  The lowered program, the derivative and the hash are
+    cached on the node the first time they are asked for.  ``repr``, ``==``
+    and ``hash`` walk the tree without recursion, so trees of any depth
+    work as dict keys.
     """
 
     op: str
@@ -82,6 +85,28 @@ class Expr:
 
     def __str__(self) -> str:
         return to_string(self)
+
+    def __repr__(self) -> str:
+        return f"Expr({to_string(self)!r})"
+
+    def __hash__(self) -> int:
+        return _cached(self, "_hash", lambda root: _fold(root, _hash_node))
+
+    def __eq__(self, other):
+        if not isinstance(other, Expr):
+            return NotImplemented
+        if self is other:
+            return True
+        if hash(self) != hash(other):
+            return False
+        # Number the distinct structures of both trees from one table: the
+        # trees are equal exactly when their roots get the same number.
+        table = {}
+
+        def number(node, kids):
+            return table.setdefault((node.op, node.value, *kids), len(table))
+
+        return _fold(self, number) == _fold(other, number)
 
 
 def _as_expr(v) -> Expr:
@@ -189,6 +214,9 @@ def _unary(op: str) -> Callable[[Expr], Expr]:
 _BUILD = {op: _unary(op) for op in ("ln", "exp", "sin", "cos", "tan", "sinh", "cosh", "abs", "sqrt")}
 ln, exp, sin, cos, tan, sinh, cosh, absx, sqrt = _BUILD.values()
 _BUILD.update(neg=neg, add=add, sub=sub, mul=mul, div=div, pow=powx)
+# A number per op for the hash: a str hash changes with the process's hash
+# seed, and the hash is cached on the node, which pickling keeps.
+_OP_CODE = {op: i for i, op in enumerate(("const", "var", *_BUILD))}
 
 
 # -- the walk -----------------------------------------------------------------
@@ -218,13 +246,20 @@ def _postorder(root: Expr) -> list:
 def _fold(root: Expr, visit):
     """visit(node, results of its children) at every node; root's result.
 
-    Nodes are keyed by identity, never hashed: Expr's hash and eq recurse.
+    Nodes are keyed by identity, never hashed: the hash is itself a fold.
     """
     done = {}
     for node in _postorder(root):
         args = node.args
         done[id(node)] = visit(node, [done[id(a)] for a in args] if args else ())
     return done[id(root)]
+
+
+def _hash_node(node: Expr, kids) -> int:
+    """The node's hash from its children's, kept on the node."""
+    if "_hash" not in node.__dict__:
+        object.__setattr__(node, "_hash", hash((_OP_CODE[node.op], node.value, *kids)))
+    return node.__dict__["_hash"]
 
 
 def _cached(e: Expr, name: str, build):

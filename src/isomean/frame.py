@@ -19,7 +19,13 @@ from . import expr as E
 from .classify import MonotonicityClass, classify_monotonicity, sample_grid
 from .expr import Expr, as_vector_fn, compile_numpy, differentiate, evaluate
 from .intervals import Interval, hull
-from .invert import apply_steps, closed_form_steps, invert_monotone
+from .invert import (
+    apply_steps,
+    closed_form_steps,
+    invert_many_bracketed,
+    invert_monotone,
+    residual_ok,
+)
 from .parse import parse
 
 CLOSED_FORM = "closed-form"
@@ -106,6 +112,14 @@ class GeneratorMap:
             except (InversionError, DomainError, ZeroDivisionError):
                 return math.nan
 
+        def inv_many(us) -> np.ndarray:
+            return _invert_many(self, np.asarray(us, dtype=float), inv_val)
+
+        def inv_deriv_many(us) -> np.ndarray:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d = self.derivative_many(inv_many(us))
+                return np.where(d != 0.0, 1.0 / d, np.nan)
+
         return GeneratorMap(
             expr=inv_expr,
             domain=self.image,
@@ -116,7 +130,37 @@ class GeneratorMap:
             _dval=inv_deriv,
             _steps=None,
             _forward=self,
+            _fvec=inv_many,
+            _dvec=inv_deriv_many,
         )
+
+
+def _invert_many(gm: GeneratorMap, us: np.ndarray, inv_val) -> np.ndarray:
+    """Preimages of `us` under `gm`, NaN outside its image.
+
+    Candidates come from the closed-form steps, else from one vectorized
+    bisection over the domain (infinite ends cut at ±1e6) and Newton
+    polish.  A candidate is kept where it lies in the domain and meets the
+    residual tolerance of :meth:`GeneratorMap.invert`; every other point
+    goes through the scalar inversion `inv_val`.
+    """
+    d = gm.domain
+    if gm._steps is not None:
+        xs = apply_steps(gm._steps, us)
+    else:
+        lo = d.lo if math.isfinite(d.lo) else min(-1e6, d.hi - 1.0)
+        hi = d.hi if math.isfinite(d.hi) else max(1e6, d.lo + 1.0)
+        # Bisect to the width at which invert_monotone stops, then polish.
+        width = 1e-8 * max(1.0, abs(lo), abs(hi))
+        iters = max(0, math.ceil(math.log2((hi - lo) / width)))
+        xs = invert_many_bracketed(
+            gm.value_many, lo, hi, us, gm.increasing, gm.derivative_many, iters
+        )
+    ok = residual_ok(gm.value_many(xs), us) & (xs >= d.lo) & (xs <= d.hi)
+    out = np.where(ok, xs, np.nan)
+    for i in np.flatnonzero(~ok):
+        out.flat[i] = inv_val(float(us.flat[i]))
+    return out
 
 
 def _scalar_view(fvec) -> Callable[[float], float]:

@@ -31,6 +31,11 @@ def residual_tol(u: float) -> float:
     return max(_RES_ABS, _RES_REL * abs(u))
 
 
+def residual_ok(values: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Where map values hit their targets `us` within :func:`residual_tol`."""
+    return np.abs(values - us) <= np.maximum(_RES_ABS, _RES_REL * np.abs(us))
+
+
 # -- closed-form chain --------------------------------------------------------
 
 def _const_of(e: Expr) -> Optional[float]:
@@ -315,7 +320,12 @@ def invert_many_bracketed(
     deriv_vec: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     iters: int = 60,
 ) -> np.ndarray:
-    """Vectorized inversion when every solution lies in [a, b]."""
+    """Vectorized inversion when every solution lies in [a, b].
+
+    Bisects `iters` times.  With `deriv_vec`, then polishes as
+    :func:`invert_monotone` does: up to 10 Newton steps, each taken only
+    where the residual still exceeds :func:`residual_tol`.
+    """
     us = np.asarray(us, dtype=float)
     lo = np.full(us.shape, min(a, b))
     hi = np.full(us.shape, max(a, b))
@@ -328,13 +338,14 @@ def invert_many_bracketed(
         hi = np.where(below, hi, mid)
     x = 0.5 * (lo + hi)
     if deriv_vec is not None:
-        for _ in range(4):
+        for _ in range(10):
             with np.errstate(all="ignore"):
                 fx = vec_fn(x)
-                dv = deriv_vec(x)
-                step = (fx - us) / dv
-            good = np.isfinite(step)
-            x_new = np.where(good, x - step, x)
+                step = (fx - us) / deriv_vec(x)
+            move = np.isfinite(step) & ~residual_ok(fx, us)
+            if not move.any():
+                break
+            x_new = np.where(move, x - step, x)
             inside = (x_new >= lo - (hi - lo)) & (x_new <= hi + (hi - lo))
             x = np.where(inside, x_new, x)
     return x

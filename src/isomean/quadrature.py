@@ -8,11 +8,15 @@ position-sorted panel list through exact compensated summation, making the
 result independent of the subdivision schedule.
 
 For genuinely improper endpoints (tan at π/2) the `endpoint_limit` driver
-evaluates the quantity on a sequence of inward-shrunken intervals
-ε_k = 10^−k·span, k = 2..12, and accepts, in order of preference: raw
-convergence (three successive values pairwise within 1e-8 relative), a
-rounding-noise floor (successive delta under 1e-7 relative), or a linear
-extrapolation in 1/ln(b_k/a_k) whose successive extrapolants stabilize.
+evaluates the quantity on inward-shrunken windows ε_k = 10^−k·span,
+k = 2..12, one at a time, and stops as soon as the sequence has settled.
+Each window feeds one Richardson tableau: the linear extrapolant to t = 0
+in t = 1/ln(b_k/a_k), then a tenfold Richardson step that removes the O(ε)
+remainder of those extrapolants.  It accepts three successive values within
+1e-8 relative ("raw") or two successive tableau entries within 1e-9
+("extrapolated").  Only when neither happens does it fall back to the best
+pair over all eleven windows: a rounding-noise floor (successive values
+within 1e-7, "noise-floor") or two linear extrapolants within 2e-6.
 """
 
 from __future__ import annotations
@@ -177,6 +181,18 @@ def is_improper_near(fn, a: float, b: float, side: str) -> bool:
     return inner > 10.0 * max(outer, ref, 1e-300)
 
 
+#: Each window shrinks ε tenfold: ε_k = _SHRINK^−k·(b−a).
+_SHRINK = 10.0
+#: Two successive column-2 entries of the endpoint-limit tableau that agree
+#: within this (relative to max(1, |E|)) end the window sequence.
+_SETTLE_REL = 1e-9
+
+
+def _at_t0(t1: float, v1: float, t2: float, v2: float) -> float:
+    """The line through (t1, v1) and (t2, v2), at t = 0."""
+    return v2 - t2 * (v2 - v1) / (t2 - t1)
+
+
 def endpoint_limit(
     value_on: Callable[[float, float], float],
     a: float,
@@ -187,17 +203,43 @@ def endpoint_limit(
     noise_rel: float = 1e-7,
     extrap_rel: float = 2e-6,
 ) -> Tuple[float, float, str]:
-    """Limit of value_on([a+ε, b−ε]) as ε → 0, three stages deep.
+    """Limit of value_on([a+ε, b−ε]) as ε → 0 over shrinking windows.
 
-    Both endpoints shrink together along ε_k = 10^−k·(b−a), which keeps
-    limits well-defined for quantities that depend on the endpoint path.
-    Returns (value, error_estimate, stage); raises DivergentIntegralError
-    when no stage stabilizes.
+    Both endpoints shrink together along ε_k = 10^−k·(b−a), k = k_start..
+    k_end, which keeps limits well-defined for quantities that depend on
+    the endpoint path.  Windows are evaluated lazily, each adding one row
+    to a Richardson tableau:
+
+    * column 0 holds the window value v_k;
+    * column 1 the linear extrapolant to t = 0 of v_{k−1}, v_k in
+      t_k = 1/ln(b_k/a_k) (1/(k·ln 10) where that ratio is below e);
+    * column 2 the Richardson step (10·c1_k − c1_{k−1})/9, which removes
+      an O(ε) remainder of column 1.  Window values L + c·t + d·ε·t, the
+      shape of a mean over a diverging ln(b/a), leave exactly that.
+
+    Only windows with consecutive k combine; a window that raises
+    DomainError or DivergentIntegralError, or is not finite, restarts
+    columns 1 and 2.  The sequence stops at the first window where
+
+    * the last three values agree pairwise within ``raw_rel``·|v|
+      (stage "raw", the last difference as the error estimate), or
+    * the last two column-2 entries agree within ``_SETTLE_REL``·max(1, |E|)
+      (stage "extrapolated", their difference, floored at 50 ulps, as the
+      estimate).
+
+    When neither happens by k_end, as for a sequence whose remainder is not
+    O(ε), the best pair over all windows decides: the closest successive
+    values if within ``noise_rel`` ("noise-floor"), else the closest
+    successive column-1 extrapolants, over any two successive evaluated
+    windows, if within ``extrap_rel`` ("extrapolated").  Returns (value,
+    error_estimate, stage); raises DivergentIntegralError when nothing
+    stabilizes.
     """
     span = b - a
     records = []  # (k, t, value)
+    col1, col2 = [], []  # tableau columns over the current consecutive run
     for k in range(k_start, k_end + 1):
-        eps = span * 10.0 ** (-k)
+        eps = span * _SHRINK ** (-k)
         ak, bk = a + eps, b - eps
         if not (ak < bk):
             break
@@ -221,6 +263,17 @@ def endpoint_limit(
                 and abs(v3 - v1) <= raw_rel * scale
             ):
                 return v3, max(abs(v3 - v2), 1e-16 * scale), "raw"
+        if len(records) < 2 or records[-2][0] != k - 1 or records[-2][1] == t:
+            col1.clear()
+            col2.clear()
+            continue
+        col1.append(_at_t0(*records[-2][1:], t, v))
+        if len(col1) >= 2:
+            col2.append((_SHRINK * col1[-1] - col1[-2]) / (_SHRINK - 1.0))
+        if len(col2) >= 2:
+            e, delta = col2[-1], abs(col2[-1] - col2[-2])
+            if delta <= _SETTLE_REL * max(1.0, abs(e)):
+                return e, max(delta, _ROUNDING_FLOOR * max(abs(e), abs(v))), "extrapolated"
     if len(records) < 2:
         raise DivergentIntegralError(
             "no stable values on the shrunken-interval sequence; the integral appears divergent"
@@ -239,7 +292,7 @@ def endpoint_limit(
         _, t2, v2 = records[i]
         if t1 == t2:
             continue
-        extr.append(v2 - t2 * (v2 - v1) / (t2 - t1))
+        extr.append(_at_t0(t1, v1, t2, v2))
     if len(extr) >= 2:
         e_deltas = [
             abs(extr[i + 1] - extr[i]) / max(1.0, abs(extr[i + 1])) for i in range(len(extr) - 1)

@@ -406,7 +406,7 @@ def test_exit_usage_errors(run, argv):
 
 
 def test_tight_tolerance_rejects_rough_results(run):
-    # elastic tan is only known to a few times 1e-8; demand better and fail
+    # elastic tan is only known to about 2e-10; demand better and fail
     rc, _, err = run(
         "mean", "--class", "elastic", "--f", "tan(x)",
         "--a", "0", "--b", "pi/2", "--open-a", "--open-b", "--tol", "1e-13",

@@ -1,5 +1,9 @@
 """Symbolic derivatives, vectorised evaluation, and axis rescalings."""
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -172,3 +176,41 @@ class TestScaleShift:
 
         plain = h_scaleshift_interval(Interval(0.0, 1.0), ScaleShift(3.0, 2.0))
         assert (plain.lo, plain.hi) == (2.0, 5.0)
+
+
+def test_deep_trees_work_in_repr_hash_equality_and_as_dict_keys():
+    n = 5000
+    total = parse("+".join(["x"] * n))
+    again = parse(" + ".join(["x"] * n))  # another text: another tree
+    assert total is not again
+    assert repr(total) == f"Expr({to_string(total)!r})"
+    assert hash(total) == hash(again) and total == again
+    assert {total: "sum"}[again] == "sum"
+    other = parse("+".join(["x"] * (n - 1)) + "+1")
+    assert total != other and other not in {total: "sum"}
+
+
+def test_equality_is_structural_and_compares_constants_by_value():
+    assert parse("2*x + sin(x)") == E.add(E.mul(E.const(2.0), E.var()), E.sin(E.var()))
+    assert parse("x - 1") != parse("x + 1") and parse("x^2") != parse("x^3")
+    assert E.const(0.0) == E.const(-0.0) and hash(E.const(0.0)) == hash(E.const(-0.0))
+    assert E.const(1.0) != 1.0 and E.var() != "x"
+    # sharing does not matter: two separate constants equal one shared one
+    shared = E.const(3.0)
+    assert E.mul(shared, shared) == E.mul(E.const(3.0), E.const(3.0))
+
+
+def test_a_pickled_tree_keeps_its_hash_under_another_hash_seed():
+    e = parse("x*sin(x) + 2")
+    hash(e)  # cached on the node, so the pickle carries it
+    code = (
+        "import pickle, sys; from isomean.parse import parse; "
+        "e = pickle.loads(sys.stdin.buffer.read()); fresh = parse('x*sin(x) + 2'); "
+        "print(e == fresh, {fresh: 1}.get(e))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONHASHSEED": "12345"}
+    out = subprocess.run(
+        [sys.executable, "-c", code], input=pickle.dumps(e), env=env,
+        capture_output=True, check=True, timeout=60,
+    )
+    assert out.stdout.split() == [b"True", b"1"]

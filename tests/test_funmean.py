@@ -2,8 +2,11 @@
 degeneracies, improper windows, and structural invariants."""
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
+
+from isomean import funmean
 
 from isomean._errors import DivergentIntegralError, NotBondedError
 from isomean.expr import evaluate
@@ -290,3 +293,55 @@ def test_mean_of_constant_window_is_reached_in_the_limit(fsrc, lo):
     )
     f = parse(fsrc)
     assert r.value == pytest.approx(evaluate(f, lo + eps / 2.0), rel=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# the endpoint limit against exact references
+# ---------------------------------------------------------------------------
+
+LIMIT = "quadrature+endpoint-limit"
+
+
+QUARTER_PERIOD = Interval(0.0, HALF_PI, lo_open=True, hi_open=True)
+
+
+def _elastic_tangent_ref(s):
+    # ∫ s·tan(x)/x dx over [ε, π/2−ε] grows like (2s/π)·ln(1/ε), as does ln(b/a)
+    with mpmath.workdps(30):
+        return float(2 * mpmath.mpf(s) / mpmath.pi)
+
+
+@pytest.mark.parametrize(
+    "f, window, ref",
+    [
+        *[(f"{s}*tan(x)", QUARTER_PERIOD, _elastic_tangent_ref(s)) for s in (0.5, 1.0, 1.9)],
+        # a function finite at 0 has the elastic mean f(0+) over (0, b]
+        ("1+x", Interval(0.0, 2.0, lo_open=True), 1.0),
+        ("exp(x)", Interval(0.0, 1.5, lo_open=True), 1.0),
+        ("cos(x)", Interval(0.0, 1.0, lo_open=True), 1.0),
+    ],
+    ids=["tan-0.5", "tan-1", "tan-1.9", "1+x", "exp", "cos"],
+)
+def test_elastic_limit_means_are_within_their_estimates(f, window, ref):
+    r = elastic_mean(f, window)
+    assert_routed(r, ref, LIMIT)
+    assert r.detail["stage"] in ("raw", "noise-floor", "extrapolated")
+
+
+def test_log_weighted_average_of_identity_tends_to_zero():
+    r = class_II_mean("x", Interval(0.0, 1.0, lo_open=True), "ln(x)")
+    assert_routed(r, 0.0, LIMIT)
+
+
+def test_elastic_tangent_settles_in_fewer_than_eleven_windows(monkeypatch):
+    windows = []
+    inner = funmean.endpoint_limit
+
+    def counting(value_on, a, b):
+        return inner(lambda ak, bk: windows.append(ak) or value_on(ak, bk), a, b)
+
+    monkeypatch.setattr(funmean, "endpoint_limit", counting)
+    r = elastic_mean("tan(x)", QUARTER_PERIOD)
+    assert r.method == LIMIT and r.detail["stage"] == "extrapolated"
+    assert len(windows) < 11
+    assert abs(r.value - 2.0 / math.pi) <= r.abs_error_estimate <= 1e-9

@@ -7,6 +7,7 @@ import pytest
 from isomean import compare
 from isomean._errors import DomainError, NonMonotoneError, InversionError
 from isomean.frame import (
+    GeneratorMap,
     check_bonded,
     estimate_range_hull,
     generator_map,
@@ -231,3 +232,45 @@ def test_pole_in_the_value_axis_window_is_rejected():
     # the value window of x on (0, 1] is padded past 0, where 1/x has a pole
     with pytest.raises(DomainError, match="pole or jump"):
         class_I_mean("x", Interval(0.0, 1.0, lo_open=True), "1/x")
+
+
+@pytest.mark.parametrize(
+    "src, domain",
+    [
+        ("x+exp(x)", Interval(0.0, 1.0)),
+        ("-x-exp(x)", Interval(-1.0, 1.0)),
+        ("x^3+x", Interval(-2.0, 3.0)),
+        ("x+exp(x)", Interval(-math.inf, 2.0)),
+        ("x^2.5", Interval(0.5, 3.0)),
+        ("ln(x)", Interval(0.0, math.inf, lo_open=True)),
+    ],
+    ids=["bracketed", "decreasing", "odd-cubic", "half-line", "closed-form", "log"],
+)
+def test_inverse_vector_view_matches_the_scalar_view(src, domain, monkeypatch):
+    g = generator_map(src, domain)
+    inv = g.inverse()
+    d = inv.domain
+    inside = np.linspace(max(d.lo, -40.0), min(d.hi, 40.0), 17)[1:-1]
+    outside = [u for u in (d.lo - 1.0, d.hi + 1.0, math.nan) if not math.isinf(u)]
+    us = np.concatenate((inside, outside))
+    want = np.array([inv._fval(u) for u in us])
+    # inside the image the vector view makes no scalar inversion
+    calls = []
+    scalar_invert = GeneratorMap.invert
+    monkeypatch.setattr(GeneratorMap, "invert", lambda m, u: calls.append(u) or scalar_invert(m, u))
+    inv.value_many(inside)
+    assert calls == []
+    got = inv.value_many(us)
+    # NaN exactly where the scalar view gives NaN: outside the image
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    assert not np.any(np.isnan(got[: len(inside)]))
+    ok = ~np.isnan(want)
+    # both views invert to the mixed 1e-12 residual tolerance of invert()
+    tol = np.maximum(1e-12, 1e-12 * np.abs(us[ok]))
+    assert np.all(np.abs(g.value_many(got[ok]) - us[ok]) <= tol)
+    slope = np.abs(g.derivative_many(want[ok]))
+    assert np.all(np.abs(got[ok] - want[ok]) * slope <= 2.0 * tol)
+    dgot = inv.derivative_many(us)
+    dwant = np.array([inv._dval(u) for u in us])
+    np.testing.assert_array_equal(np.isnan(dgot), np.isnan(dwant))
+    np.testing.assert_allclose(dgot[ok], dwant[ok], rtol=1e-9)

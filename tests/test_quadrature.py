@@ -102,3 +102,83 @@ def test_endpoint_limit_of_stable_window_statistic():
     assert val == pytest.approx(1.0 / 3.0, abs=1e-8)
     assert err < 1e-6
     assert isinstance(stage, str) and stage
+
+
+STAGES = {"raw", "noise-floor", "extrapolated"}
+
+
+def window_model(L, c, d):
+    """v = L + c·t + d·ε·t with t = 1/ln(b/a), a = ε: the shape of a framed
+    mean over ln's diverging denominator, linear in t with an O(ε·t) rest."""
+
+    def value_on(lo, hi):
+        t = 1.0 / math.log(hi / lo)
+        return L + c * t + d * lo * t
+
+    return value_on
+
+
+def counted(value_on, calls):
+    def wrapped(lo, hi):
+        calls.append((lo, hi))
+        return value_on(lo, hi)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("L, c, d", [(0.7, 1.3, 2.0), (0.0, 1.0, -5.0), (2.5, -3.0, 0.5)])
+def test_endpoint_limit_stops_once_the_tableau_settles(L, c, d):
+    calls = []
+    val, err, stage = endpoint_limit(counted(window_model(L, c, d), calls), 0.0, 1.0)
+    assert stage == "extrapolated"
+    assert len(calls) <= 7
+    assert abs(val - L) <= err < 1e-9 * max(1.0, abs(L))
+
+
+def test_endpoint_limit_with_an_O_eps_rest_stays_honest():
+    # v = L + c·t + d·ε: column 1 keeps a k·ε rest that a ratio of 10 only
+    # shrinks tenfold per window, so the tableau settles late, but settles
+    calls = []
+    val, err, stage = endpoint_limit(
+        counted(lambda lo, hi: 0.7 + 1.3 / math.log(hi / lo) + 2.0 * lo, calls), 0.0, 1.0
+    )
+    assert stage == "extrapolated"
+    assert abs(val - 0.7) <= err < 1e-9
+
+
+def test_endpoint_limit_of_a_divergent_sequence_raises():
+    # v = 1/t = ln(b/a) grows without bound
+    with pytest.raises(DivergentIntegralError):
+        endpoint_limit(lambda lo, hi: math.log(hi / lo), 0.0, 1.0)
+
+
+def test_endpoint_limit_restarts_the_tableau_after_a_skipped_window():
+    calls = []
+    model = window_model(0.7, 1.3, 2.0)
+
+    def value_on(lo, hi):
+        calls.append(lo)
+        if len(calls) == 4:
+            raise DomainError("a window that cannot be evaluated")
+        return model(lo, hi)
+
+    val, err, stage = endpoint_limit(value_on, 0.0, 1.0)
+    # the windows after the skip rebuild both columns before accepting
+    assert stage == "extrapolated" and len(calls) >= 4 + 4
+    assert abs(val - 0.7) <= err
+
+
+@pytest.mark.parametrize(
+    "value_on, stage",
+    [
+        (window_model(0.7, 1.3, 2.0), "extrapolated"),
+        (lambda lo, hi: 0.5 + 1e-12 * lo, "raw"),
+        # values that alternate by 6e-8 never settle but sit under the
+        # 1e-7 noise floor
+        (lambda lo, hi: 0.5 + 3e-8 * (-1) ** round(-math.log10(lo)), "noise-floor"),
+    ],
+    ids=["extrapolated", "raw", "noise-floor"],
+)
+def test_endpoint_limit_reports_one_of_the_three_stages(value_on, stage):
+    got = endpoint_limit(value_on, 0.0, 1.0)
+    assert got[2] == stage and got[2] in STAGES
