@@ -46,7 +46,7 @@ from .frame import GeneratorMap, generator_map, make_frame
 from .funmean import MeanProblem, _as_map, _value_axis_window, class_V_mean, dvi_mean
 from .intervals import Interval
 from .parse import parse
-from .quadrature import integrate
+from .quadrature import integrate_many
 from .verdict import EQ, GE, GT, LE, LT, UNDECIDED, Verdict
 
 _PARAM_TOL = 1e-9
@@ -224,27 +224,64 @@ class Antiderivative:
         self._vec = as_vector_fn(self.integrand)
         self._scalar = as_scalar_fn(self.integrand)
         xs = np.linspace(d.lo, d.hi, knots)
-        segs = []
-        errs = []
-        for x0, x1 in zip(xs[:-1], xs[1:]):
-            v, e = integrate(self._vec, float(x0), float(x1))
-            segs.append(v)
-            errs.append(e)
+        segs, errs = integrate_many(self._vec, xs[:-1], xs[1:])
         self._knots = xs
-        self._cum = np.array([0.0] + [math.fsum(segs[: i + 1]) for i in range(len(segs))])
-        self.abs_error_estimate = math.fsum(errs)
+        self._cum = np.array([0.0] + exact_prefix_sums(segs.tolist()))
+        self.abs_error_estimate = math.fsum(errs.tolist())
+
+    def many(self, xs) -> np.ndarray:
+        """A at each point of xs (NaN outside the window), from one
+        quadrature call over the stretches from each point's knot."""
+        xs = np.asarray(xs, dtype=float)
+        d = self.window
+        slack = 1e-12 * np.maximum(1.0, np.abs(xs))
+        inside = (xs > d.lo if d.lo_open else xs >= d.lo - slack) & (
+            xs < d.hi if d.hi_open else xs <= d.hi + slack
+        )
+        out = np.full(xs.shape, np.nan)
+        x = xs[inside]
+        j = np.searchsorted(self._knots, x, side="right") - 1
+        j = np.clip(j, 0, len(self._knots) - 2)
+        local, _ = integrate_many(self._vec, self._knots[j], x)
+        out[inside] = self._cum[j] + local
+        return out
 
     def __call__(self, x: float) -> float:
-        x = float(x)
-        if not self.window.contains(x, slack=1e-12 * max(1.0, abs(x))):
+        v = float(self.many([x])[0])
+        if math.isnan(v):
             raise DomainError(f"{x} outside the antiderivative window {self.window}")
-        j = int(np.searchsorted(self._knots, x, side="right")) - 1
-        j = min(max(j, 0), len(self._knots) - 2)
-        local, _ = integrate(self._vec, float(self._knots[j]), x)
-        return float(self._cum[j]) + local
+        return v
 
     def derivative_at(self, x: float) -> float:
         return self._scalar(float(x))
+
+    def derivative_many(self, xs) -> np.ndarray:
+        return self._vec(xs)
+
+
+def exact_prefix_sums(xs) -> list:
+    """``math.fsum(xs[:i+1])`` for every i, from one running exact sum.
+
+    The running sum is kept as Shewchuk's non-overlapping partials, the
+    exact state ``math.fsum`` keeps, and each prefix is the correctly
+    rounded sum of the partials.  The values must be finite.
+    """
+    partials: list = []
+    out = []
+    for x in xs:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+        out.append(math.fsum(partials))
+    return out
 
 
 def cauchy_to_classV(f, g, d: Interval) -> Tuple[GeneratorMap, float]:

@@ -482,5 +482,7 @@ def first_mvt_mean(f, weight, d: Interval) -> MeanResult:
         inverse_strategy=BRACKETED_NUMERIC,
         _fval=running.__call__,
         _dval=running.derivative_at,
+        _fvec=running.many,
+        _dvec=running.derivative_many,
     )
     return class_II_mean(fe, d, base_map)

@@ -45,15 +45,9 @@ class GeneratorMap:
     _dval: Callable[[float], float] = field(repr=False, compare=False, default=None)
     _steps: Optional[tuple] = field(repr=False, compare=False, default=None)
     _forward: Optional["GeneratorMap"] = field(repr=False, compare=False, default=None)
-    # Array views of _fval and _dval; maps built without them loop the scalars.
+    # Array views of _fval and _dval; every constructor passes both.
     _fvec: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False, default=None)
     _dvec: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        if self._fvec is None:
-            object.__setattr__(self, "_fvec", as_vector_fn(self._fval))
-        if self._dvec is None:
-            object.__setattr__(self, "_dvec", as_vector_fn(self._dval))
 
     @property
     def increasing(self) -> bool:

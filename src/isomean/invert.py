@@ -180,28 +180,40 @@ def apply_steps(steps, u):
 # -- numeric fallback ---------------------------------------------------------
 
 def _expand_bracket(fval, d: Interval, u: float):
-    """Find finite lo < hi inside d with g-values straddling u."""
+    """Find finite lo <= hi inside d with g-values straddling u.
+
+    The search starts from d pulled in by 1e-3 and pushes both ends outward
+    toward d's ends.  A point where g is not finite (exp overflowing inside
+    an unbounded domain, say) becomes a wall on its side: an end that
+    starts there is pulled back to the other end, and later pushes on that
+    side go halfway to the wall.
+    """
     box = d.clamp_inward(1e-3)
-    lo, hi = box.lo, box.hi
 
-    def val(x):
-        v = fval(x)
-        return v if math.isfinite(v) else None
-
-    # Value of (g(x) - u) signed so that a straddle means product < 0.
+    # g(x) − u, or None where g is not finite.
     def side(x):
-        v = val(x)
-        if v is None:
-            return None
-        return v - u
+        v = fval(x)
+        return v - u if math.isfinite(v) else None
 
+    lo, hi = box.lo, box.hi
     lo_s, hi_s = side(lo), side(hi)
-    # Push toward the true endpoints until we straddle.
+    lo_wall = hi_wall = None
+    if lo_s is None:
+        lo_wall, lo, lo_s = lo, hi, hi_s
+    if hi_s is None:
+        hi_wall, hi, hi_s = hi, lo, lo_s
+    if lo_s is None:
+        lo = hi = 0.5 * (box.lo + box.hi)
+        lo_s = hi_s = side(lo)
+        if lo_s is None:
+            raise InversionError(f"the map is not finite at the ends or the middle of {box}")
     for _ in range(220):
-        if lo_s is not None and hi_s is not None and lo_s * hi_s <= 0.0:
+        if lo_s * hi_s <= 0.0:
             return lo, hi
         # Extend the low side.
-        if math.isinf(d.lo):
+        if lo_wall is not None:
+            cand = 0.5 * (lo + lo_wall)
+        elif math.isinf(d.lo):
             cand = lo * 4.0 - 1.0 if lo < 0 else -4.0 * abs(lo) - 1.0
         else:
             cand = d.lo + (lo - d.lo) * 0.1
@@ -209,10 +221,14 @@ def _expand_bracket(fval, d: Interval, u: float):
                 cand = lo
         if cand != lo:
             cs = side(cand)
-            if cs is not None:
+            if cs is None:
+                lo_wall = cand
+            else:
                 lo, lo_s = cand, cs
         # Extend the high side.
-        if math.isinf(d.hi):
+        if hi_wall is not None:
+            cand = 0.5 * (hi + hi_wall)
+        elif math.isinf(d.hi):
             cand = hi * 4.0 + 1.0 if hi > 0 else 4.0 * abs(hi) + 1.0
         else:
             cand = d.hi - (d.hi - hi) * 0.1
@@ -220,7 +236,9 @@ def _expand_bracket(fval, d: Interval, u: float):
                 cand = hi
         if cand != hi:
             cs = side(cand)
-            if cs is not None:
+            if cs is None:
+                hi_wall = cand
+            else:
                 hi, hi_s = cand, cs
     raise InversionError(f"target value {u} could not be bracketed inside {d}")
 
@@ -333,7 +351,8 @@ def invert_many_bracketed(
         mid = 0.5 * (lo + hi)
         fm = vec_fn(mid)
         below = (fm <= us) if increasing else (fm >= us)
-        below = np.where(np.isfinite(fm), below, True)
+        # ±inf from an overflow orders like any value; only NaN does not.
+        below = np.where(np.isnan(fm), True, below)
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     x = 0.5 * (lo + hi)

@@ -1,11 +1,18 @@
 """Adaptive quadrature and endpoint-limit evaluation of improper integrals.
 
-The integrator is a globally adaptive Gauss–Kronrod 7/15 scheme over a
-worst-first heap of panels.  Kronrod nodes are strictly interior, so
-integrable endpoint singularities (ln x at 0, 1/sqrt(x)) are handled by
-plain subdivision with no special casing.  Final summation runs over the
-position-sorted panel list through exact compensated summation, making the
-result independent of the subdivision schedule.
+The integrator, `integrate_many`, is a globally adaptive Gauss–Kronrod
+7/15 scheme over many segments at once; `integrate` is its one-segment
+case.  Every round makes one call of the integrand on the nodes of all the
+panels it evaluates: first one panel per segment, then, in each segment
+still short of its target, the halves of every panel whose error is at
+least half that segment's worst.  That is one panel per round at an
+endpoint singularity and hundreds on an oscillation.  Each segment keeps
+its own worst-first heap of panels, target and split budget, so its result
+does not depend on the other segments of the call.  Kronrod nodes are
+strictly interior, so integrable endpoint singularities (ln x at 0,
+1/sqrt(x)) are handled by plain subdivision with no special casing.  Final
+summation is `math.fsum`, which rounds the exact sum once, so the result
+does not depend on the order of the panels.
 
 For genuinely improper endpoints (tan at π/2) the `endpoint_limit` driver
 evaluates the quantity on inward-shrunken windows ε_k = 10^−k·span,
@@ -24,6 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 import os
+from operator import itemgetter
 from typing import Callable, Tuple
 
 import numpy as np
@@ -59,6 +67,14 @@ _WG = np.array(
     [0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469]
 )
 
+# Panel nodes on [−1, 1] from left to right, and their weights: Kronrod in
+# column 0, Kronrod minus Gauss (the error estimate) in column 1.
+_NODES = np.concatenate((-_XGK[:7], [0.0], _XGK[6::-1]))
+_WEIGHTS = np.zeros((15, 2))
+_WEIGHTS[:, 0] = np.concatenate((_WGK, _WGK[6::-1]))
+_WEIGHTS[[1, 3, 5, 7, 9, 11, 13], 1] = -np.concatenate((_WG, _WG[2::-1]))
+_WEIGHTS[:, 1] += _WEIGHTS[:, 0]
+
 _ROUNDING_FLOOR = 50.0 * float(np.finfo(float).eps)
 
 DEFAULT_ABS_TOL = 1e-12
@@ -79,24 +95,148 @@ def max_subdivisions() -> int:
     return max(1, v)
 
 
-def _panel(fn, a: float, b: float) -> Tuple[float, float, float]:
-    """Kronrod value, error estimate and Kronrod value of |fn| for one panel;
-    nodes are interior."""
-    c = 0.5 * (a + b)
+def _panels(fn, a: np.ndarray, b: np.ndarray):
+    """Kronrod values, error estimates and Kronrod values of |fn| of the
+    panels [a_i, b_i], from one call of fn on all of their nodes.
+
+    Nodes are interior.  The weighted sums are one matrix product over the
+    values stacked on their absolute values: with at least two rows it is
+    always a matrix-matrix product, so each panel's sums come out the same
+    whatever other panels share the call.
+    """
+    n = len(a)
     hw = 0.5 * (b - a)
-    nodes = np.concatenate((c - hw * _XGK[:7], [c], c + hw * _XGK[6::-1]))
-    vals = fn(nodes)
-    if not np.all(np.isfinite(vals)):
-        bad = nodes[~np.isfinite(np.asarray(vals))]
+    nodes = (0.5 * (a + b))[:, None] + hw[:, None] * _NODES
+    vals = np.asarray(fn(nodes.ravel()), dtype=float).reshape(n, _NODES.size)
+    finite = np.isfinite(vals)
+    if np.count_nonzero(finite) < finite.size:
+        bad = nodes[~finite]
         raise DomainError(f"integrand not finite inside the panel (e.g. at x={bad[0]!r})")
-    lower = vals[:7]
-    upper = vals[:7:-1]
-    center = vals[7]
-    k = hw * (float(np.dot(_WGK[:7], lower + upper)) + _WGK[7] * center)
-    g_pairs = lower[1::2] + upper[1::2]
-    g = hw * (float(np.dot(_WG[:3], g_pairs)) + _WG[3] * center)
-    k_abs = hw * (float(np.dot(_WGK[:7], abs(lower) + abs(upper))) + _WGK[7] * abs(center))
-    return k, abs(k - g), k_abs
+    sums = (np.concatenate((vals, np.abs(vals))) @ _WEIGHTS) * np.concatenate((hw, hw))[:, None]
+    return sums[:n, 0], np.abs(sums[:n, 1]), sums[n:, 0]
+
+
+def integrate_many(
+    fn: Callable[[np.ndarray], np.ndarray],
+    lo,
+    hi,
+    abs_tol: float = DEFAULT_ABS_TOL,
+    rel_tol: float = DEFAULT_REL_TOL,
+    max_subdiv: int | None = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """∫ fn over each segment [lo_i, hi_i]; returns (values, error_estimates).
+
+    One 15-point panel per segment is evaluated in a single call of fn.  A
+    segment whose first panel meets ``max(abs_tol, rel_tol·|value|)`` is
+    done.  Every other segment keeps its own worst-first heap of panels,
+    its own target and its own budget of ``max_subdiv`` splits (default
+    ``ISOMEAN_MAX_SUBDIV``, read once per call).  Each round pops, in every
+    open segment, all panels whose error is at least half that segment's
+    worst, and evaluates all of their halves in one call of fn.  A segment
+    stops when its running error meets its target, its budget is spent or
+    its worst panel has no error left.  A segment with lo > hi integrates
+    with the sign flipped; one with lo == hi is 0 and costs no evaluation.
+
+    Raises DivergentIntegralError when a segment spends its budget more
+    than 10⁴ times its target away, and DomainError when fn is not finite
+    at a node of any segment.
+    """
+    lo = np.array(lo, dtype=float, ndmin=1)
+    hi = np.array(hi, dtype=float, ndmin=1)
+    a, b = np.minimum(lo, hi), np.maximum(lo, hi)
+    empty = a == b
+    if not empty.size or np.count_nonzero(empty):
+        values, errors = np.zeros(a.shape), np.zeros(a.shape)
+        keep = ~empty
+        if np.count_nonzero(keep):
+            values[keep], errors[keep] = integrate_many(
+                fn, lo[keep], hi[keep], abs_tol, rel_tol, max_subdiv
+            )
+        return values, errors
+    flip = lo > hi
+    k, e, r = _panels(fn, a, b)
+    values = np.where(flip, -k, k)
+    errors = np.maximum(e, _ROUNDING_FLOOR * r)
+    unmet = e > np.maximum(abs_tol, rel_tol * np.abs(k))
+    if not np.count_nonzero(unmet):
+        return values, errors
+    budget = max_subdivisions() if max_subdiv is None else max_subdiv
+    # Per open segment: [heap, running value, running error, splits].  A
+    # panel is (−error, a, b, value, |fn| value); the panels of a segment
+    # never share a left end, so equal errors never compare further.
+    open_ = {}
+    al, bl, kl, el, rl = (x.tolist() for x in (a, b, k, e, r))
+    for i in np.flatnonzero(unmet).tolist():
+        open_[i] = [[(-el[i], al[i], bl[i], kl[i], rl[i])], kl[i], el[i], 0]
+    while open_:
+        popped = []  # the panels halved this round, segment after segment
+        owners = []  # (segment state, how many of them are its)
+        for i, state in list(open_.items()):
+            heap, total, total_err, splits = state
+            worst = -heap[0][0]
+            if (
+                total_err <= max(abs_tol, rel_tol * abs(total))
+                or splits >= budget
+                or worst <= 0.0
+            ):
+                v, errors[i] = _finish(heap, splits, budget, abs_tol, rel_tol)
+                values[i] = -v if flip[i] else v
+                del open_[i]
+                continue
+            cut, room, first = -0.5 * worst, budget - splits, len(popped)
+            while room and heap and heap[0][0] <= cut:
+                panel = heapq.heappop(heap)
+                if panel[1] < 0.5 * (panel[1] + panel[2]) < panel[2]:
+                    popped.append(panel)
+                    room -= 1
+                else:
+                    # Too narrow to halve: it stays, and its error is dropped.
+                    heapq.heappush(heap, (0.0,) + panel[1:])
+            state[3] = budget - room
+            if len(popped) > first:
+                owners.append((state, len(popped) - first))
+        if not popped:
+            continue
+        neg_err, pa, pb, pk, _ = np.array(popped).T
+        mid = 0.5 * (pa + pb)
+        a2, b2 = np.concatenate((pa, mid)), np.concatenate((mid, pb))
+        k, e, r = _panels(fn, a2, b2)
+        m = len(popped)
+        gain = (k[:m] + k[m:] - pk).tolist()
+        gain_err = (e[:m] + e[m:] + neg_err).tolist()
+        # Halves as heap entries: the left one of popped[j] is halves[j],
+        # the right one halves[m + j].
+        halves = list(zip((-e).tolist(), a2.tolist(), b2.tolist(), k.tolist(), r.tolist()))
+        j = 0
+        for state, n in owners:
+            state[1] += math.fsum(gain[j : j + n])
+            state[2] += math.fsum(gain_err[j : j + n])
+            heap = state[0]
+            for half in halves[j : j + n] + halves[m + j : m + j + n]:
+                heapq.heappush(heap, half)
+            j += n
+    return values, errors
+
+
+def _finish(heap, splits: int, budget: int, abs_tol: float, rel_tol: float):
+    """Value and error estimate of one segment from its final panels.
+
+    ``math.fsum`` rounds the exact sum once, so neither depends on the
+    order of the panels, and so on the order of the splits.
+    """
+    value = math.fsum(map(itemgetter(3), heap))
+    err = -math.fsum(map(itemgetter(0), heap))
+    target = max(abs_tol, rel_tol * abs(value))
+    if err > target and splits >= budget and err > 1e4 * target:
+        raise DivergentIntegralError(
+            f"quadrature used all {budget} subdivisions with error {err:.3e}"
+            f" (target {target:.3e}); the integral may diverge"
+        )
+    # Kronrod–Gauss differences do not see rounding, which dominates when
+    # the integrand cancels (ln tan over (0, π/2)).  As in QUADPACK, the
+    # estimate is floored at 50 ulps of the integral of |fn|.
+    rounding = _ROUNDING_FLOOR * math.fsum(map(itemgetter(4), heap))
+    return value, max(err, rounding)
 
 
 def integrate(
@@ -107,61 +247,14 @@ def integrate(
     rel_tol: float = DEFAULT_REL_TOL,
     max_subdiv: int | None = None,
 ) -> Tuple[float, float]:
-    """∫_a^b fn(x) dx with a worst-panel-first adaptive scheme.
+    """∫_a^b fn(x) dx: the one-segment case of :func:`integrate_many`.
 
     Returns (value, error_estimate).  Raises DivergentIntegralError when the
     subdivision budget is exhausted far from tolerance, and DomainError when
     the integrand is not finite at an interior node.
     """
-    if a == b:
-        return 0.0, 0.0
-    sign = 1.0
-    lo, hi = a, b
-    if lo > hi:
-        lo, hi = hi, lo
-        sign = -1.0
-    budget = max_subdivisions() if max_subdiv is None else max_subdiv
-    k0, e0, r0 = _panel(fn, lo, hi)
-    heap = [(-e0, 0, lo, hi, k0, e0, r0)]
-    seq = 1
-    total = k0
-    total_err = e0
-    splits = 0
-    while splits < budget:
-        if total_err <= max(abs_tol, rel_tol * abs(total)):
-            break
-        neg_err, _, pa, pb, pk, pe, pr = heapq.heappop(heap)
-        if pe <= 0.0:
-            heapq.heappush(heap, (neg_err, seq, pa, pb, pk, pe, pr))
-            seq += 1
-            break
-        mid = 0.5 * (pa + pb)
-        if not (pa < mid < pb):
-            heapq.heappush(heap, (0.0, seq, pa, pb, pk, 0.0, pr))
-            seq += 1
-            continue
-        k1, e1, r1 = _panel(fn, pa, mid)
-        k2, e2, r2 = _panel(fn, mid, pb)
-        total += (k1 + k2) - pk
-        total_err += (e1 + e2) - pe
-        heapq.heappush(heap, (-e1, seq, pa, mid, k1, e1, r1))
-        heapq.heappush(heap, (-e2, seq + 1, mid, pb, k2, e2, r2))
-        seq += 2
-        splits += 1
-    segments = sorted((entry[2], entry[4], entry[5], entry[6]) for entry in heap)
-    value = math.fsum(s[1] for s in segments)
-    err = math.fsum(s[2] for s in segments)
-    target = max(abs_tol, rel_tol * abs(value))
-    if err > target and splits >= budget and err > 1e4 * target:
-        raise DivergentIntegralError(
-            f"quadrature used all {budget} subdivisions with error {err:.3e}"
-            f" (target {target:.3e}); the integral may diverge"
-        )
-    # Kronrod–Gauss differences do not see rounding, which dominates when
-    # the integrand cancels (ln tan over (0, π/2)).  As in QUADPACK, the
-    # estimate is floored at 50 ulps of the integral of |fn|.
-    rounding = _ROUNDING_FLOOR * math.fsum(s[3] for s in segments)
-    return sign * value, max(err, rounding)
+    values, errors = integrate_many(fn, a, b, abs_tol, rel_tol, max_subdiv)
+    return float(values[0]), float(errors[0])
 
 
 def is_improper_near(fn, a: float, b: float, side: str) -> bool:

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from isomean._errors import PreconditionError
+from isomean._errors import DomainError, PreconditionError
 from isomean.bivariate import (
     Antiderivative,
+    exact_prefix_sums,
     QuasiStolarskyParams,
     cauchy_mean_report,
     cauchy_mean_value,
@@ -188,6 +189,30 @@ def test_integral_view_to_secant_view():
     xs = np.linspace(1.0, 3.0, 9)
     vals = [F(float(x)) for x in xs]
     assert all(b > a for a, b in zip(vals, vals[1:]))  # positive integrand
+
+
+@pytest.mark.parametrize("kind", ["random", "cancelling"])
+def test_exact_prefix_sums_match_fsum_of_every_prefix(kind):
+    rng = np.random.default_rng(7)
+    xs = rng.standard_normal(300) * 10.0 ** rng.integers(-12, 12, 300)
+    if kind == "cancelling":
+        # large terms that cancel in pairs around small ones
+        xs = np.ravel(np.column_stack((xs, rng.standard_normal(300) * 1e-9, -xs)))
+    xs = xs.tolist()
+    want = [math.fsum(xs[: i + 1]) for i in range(len(xs))]
+    assert exact_prefix_sums(xs) == want
+
+
+def test_antiderivative_vector_view_runs_the_scalar_arithmetic():
+    F = Antiderivative("x*exp(-x)", Interval(0.5, 3.0, hi_open=True))
+    xs = np.array([0.5, 0.7, 1.3, 1.3, 2.999, 0.4, 3.0, np.nan])
+    got = F.many(xs)
+    assert np.array_equal(got[:5], [F(x) for x in xs[:5]])
+    assert np.isnan(got[5:]).all()
+    with pytest.raises(DomainError, match="outside the antiderivative window"):
+        F(3.0)
+    # the grid's knots are where the stored prefix sums apply exactly
+    assert F(F._knots[5]) == F._cum[5]
 
 
 def test_secant_view_to_integral_view():

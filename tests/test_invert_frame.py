@@ -16,7 +16,7 @@ from isomean.frame import (
     make_frame,
 )
 from isomean.funmean import _log_map, class_I_mean
-from isomean.invert import _real_root
+from isomean.invert import _real_root, residual_ok
 from isomean.intervals import Interval
 from isomean.parse import parse
 
@@ -149,6 +149,17 @@ def test_check_bonded_accepts_and_rejects():
     assert not bad.bonded
     assert not bad.hull_ok
     assert bad.message
+
+
+def test_map_overflowing_inside_an_unbounded_domain_inverts():
+    # exp overflows past x ≈ 710, far inside the domain
+    g = generator_map("exp(x)+x^3+x", Interval(-math.inf, math.inf))
+    us = np.array([-51.0, -30.0, 0.0, 1.0, 10.0, 100.0])
+    scalar = np.array([g.invert(u) for u in us])
+    vector = g.inverse().value_many(us)
+    assert residual_ok(g.value_many(scalar), us).all()
+    assert residual_ok(g.value_many(vector), us).all()
+    np.testing.assert_allclose(vector, scalar, rtol=0, atol=1e-11)
 
 
 def test_make_frame_accepts_prebuilt_maps():

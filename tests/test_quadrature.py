@@ -1,14 +1,18 @@
 """Adaptive quadrature against closed forms and an independent integrator."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 
 from isomean._errors import DivergentIntegralError, DomainError
+from isomean.funmean import plain_mean
+from isomean.intervals import Interval
 from isomean.quadrature import (
     endpoint_limit,
     integrate,
+    integrate_many,
     is_improper_near,
     max_subdivisions,
 )
@@ -182,3 +186,95 @@ def test_endpoint_limit_restarts_the_tableau_after_a_skipped_window():
 def test_endpoint_limit_reports_one_of_the_three_stages(value_on, stage):
     got = endpoint_limit(value_on, 0.0, 1.0)
     assert got[2] == stage and got[2] in STAGES
+
+
+# ---------------------------------------------------------------------------
+# the batched engine: many segments, one integrand call per round
+# ---------------------------------------------------------------------------
+
+
+def _counted(fn):
+    """fn, and a [calls, points] record of how it was called."""
+    seen = [0, 0]
+
+    def counted(xs):
+        seen[0] += 1
+        seen[1] += np.size(xs)
+        return fn(xs)
+
+    return counted, seen
+
+
+def _splits(points: int, segments: int = 1) -> int:
+    """Splits behind a point count: 15 nodes per panel, two panels a split."""
+    return (points // 15 - segments) // 2
+
+
+def _root_sin_inv(x):
+    x = np.asarray(x)
+    return np.sqrt(x) * np.sin(1.0 / x)
+
+
+# (3, 3.5) meets its target on the first panel; the others need splits,
+# one of them reversed; (1, 1) is empty.
+_SEGMENTS = [(3.0, 3.5), (0.02, 0.5), (1.0, 1.0), (2.0, 0.5), (0.005, 0.05)]
+
+
+def test_integrate_many_is_bit_identical_to_one_integrate_per_segment():
+    lo, hi = (np.array(ends) for ends in zip(*_SEGMENTS))
+    values, errors = integrate_many(_root_sin_inv, lo, hi)
+    points = []
+    for i, (a, b) in enumerate(_SEGMENTS):
+        fn, seen = _counted(_root_sin_inv)
+        assert (values[i], errors[i]) == integrate(fn, a, b)
+        points.append(seen[1])
+    assert points[0] == 15 and points[2] == 0
+    assert min(_splits(p) for p in points[1::2]) > 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_integrate_many_raises_on_a_non_finite_node_in_any_segment():
+    # 0.5 is the middle node of the panel [0.4, 0.6]
+    with pytest.raises(DomainError, match="not finite inside the panel"):
+        integrate_many(lambda x: 1.0 / (np.asarray(x) - 0.5), [1.0, 0.4], [2.0, 0.6])
+
+
+def test_integrate_many_budget_applies_per_segment():
+    def hard(x):
+        x = np.asarray(x)
+        return np.sin(50.0 * x) / (1.0 + x**2)
+
+    fn, seen = _counted(hard)
+    want = integrate(fn, 0.0, 6.0)
+    need = _splits(seen[1])
+    assert need > 2
+    # each of three copies gets the splits one needs: a shared budget of
+    # that size would leave two of them far from their target
+    fn, seen = _counted(hard)
+    values, errors = integrate_many(fn, [0.0] * 3, [6.0] * 3, max_subdiv=need)
+    assert _splits(seen[1], 3) == 3 * need
+    assert all((v, e) == want for v, e in zip(values, errors))
+    with pytest.raises(DivergentIntegralError, match="all 2 subdivisions"):
+        integrate_many(hard, [0.0, 0.0], [1.0, 6.0], max_subdiv=2)
+
+
+def test_integrate_many_of_no_segments_calls_nothing():
+    fn, seen = _counted(np.exp)
+    values, errors = integrate_many(fn, [], [])
+    assert values.shape == errors.shape == (0,) and seen == [0, 0]
+
+
+def test_oscillatory_refinement_evaluates_many_splits_per_call():
+    fn, seen = _counted(lambda x: np.sin(1.0 / np.asarray(x)))
+    integrate(fn, 1e-3, 1.0)
+    assert seen[0] < _splits(seen[1])
+
+
+def test_mean_of_sin_inverse_x_against_its_closed_form():
+    # ∫_c^1 sin(1/x) dx = [Ci(u) − sin(u)/u] from u = 1 to 1/c
+    c = 1e-3
+    prim = lambda u: mpmath.ci(u) - mpmath.sin(u) / u
+    with mpmath.workdps(30):
+        want = float((prim(mpmath.mpf(1) / c) - prim(1)) / (1 - mpmath.mpf(c)))
+    r = plain_mean("sin(1/x)", Interval(c, 1.0))
+    assert abs(r.value - want) <= r.abs_error_estimate
