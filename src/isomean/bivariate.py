@@ -222,7 +222,6 @@ class Antiderivative:
         self.base = d.lo
         self.integrand = parse(integrand) if isinstance(integrand, str) else integrand
         self._vec = as_vector_fn(self.integrand)
-        self._scalar = as_scalar_fn(self.integrand)
         xs = np.linspace(d.lo, d.hi, knots)
         segs, errs = integrate_many(self._vec, xs[:-1], xs[1:])
         self._knots = xs
@@ -253,7 +252,7 @@ class Antiderivative:
         return v
 
     def derivative_at(self, x: float) -> float:
-        return self._scalar(float(x))
+        return float(self._vec(np.array([float(x)]))[0])
 
     def derivative_many(self, xs) -> np.ndarray:
         return self._vec(xs)

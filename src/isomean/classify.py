@@ -91,7 +91,8 @@ class ConvexityClass:
         return self.kind in (CONCAVE, STRICTLY_CONCAVE, AFFINE)
 
 
-FnLike = Union[Expr, Callable[[float], float]]
+# A callable is an array callable (see expr.as_vector_fn).
+FnLike = Union[Expr, Callable[[np.ndarray], np.ndarray]]
 
 
 def sample_grid(d: Interval, n: int = DEFAULT_SAMPLES) -> np.ndarray:

@@ -45,6 +45,7 @@ from .classify import (
     classify_convexity,
     classify_monotonicity,
 )
+from .expr import as_vector_fn
 from .frame import (
     BRACKETED_NUMERIC,
     Frame,
@@ -151,8 +152,6 @@ def _identity_like(m: GeneratorMap, window: Interval) -> bool:
 
 
 def _is_identity_fn(f, window: Interval) -> bool:
-    from .expr import as_vector_fn
-
     xs = np.linspace(window.lo, window.hi, _DETECT_SAMPLES)
     try:
         ys = as_vector_fn(f)(xs)
@@ -480,8 +479,6 @@ def first_mvt_mean(f, weight, d: Interval) -> MeanResult:
         image=Interval(min(0.0, total), max(0.0, total)),
         monotonicity=MonotonicityClass(kind),
         inverse_strategy=BRACKETED_NUMERIC,
-        _fval=running.__call__,
-        _dval=running.derivative_at,
         _fvec=running.many,
         _dvec=running.derivative_many,
     )

@@ -359,6 +359,10 @@ def evaluate(e: Expr, x: float) -> float:
     return v
 
 
+# As a decorator np.errstate costs about half of a with-block per call.
+_run_quietly = np.errstate(all="ignore")(_run)
+
+
 def compile_numpy(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
     """Compile `e` into a vectorized ndarray→ndarray function.
 
@@ -369,8 +373,7 @@ def compile_numpy(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
 
     def compiled(x):
         arr = np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):
-            out = _run(prog, arr, _ARRAY)
+        out = _run_quietly(prog, arr, _ARRAY)
         if np.ndim(out) == 0:
             out = np.full_like(arr, float(out))
         return out
@@ -500,36 +503,22 @@ def to_string(e: Expr) -> str:
     return _fold(e, _print_node)
 
 
-ExprLike = Union[Expr, Callable[[float], float]]
+# A callable stands for a function as its array view: it takes an array of
+# points and gives the values in the same shape, NaN where it is undefined.
+ExprLike = Union[Expr, Callable[[np.ndarray], np.ndarray]]
 
 
 def as_scalar_fn(f: ExprLike) -> Callable[[float], float]:
-    """Uniform scalar view of an Expr or a plain callable."""
+    """Scalar view of an Expr, or the one-point call of an array callable."""
     if isinstance(f, Expr):
         return lambda x: evaluate(f, x)
-    return f
+    return lambda x: float(np.asarray(f(np.array([float(x)])), dtype=float).reshape(-1)[0])
 
 
 def as_vector_fn(f: ExprLike) -> Callable[[np.ndarray], np.ndarray]:
-    """Uniform vectorized view of an Expr or a plain callable.
-
-    Plain callables are looped; Exprs go through the compiled fast path.
-    """
-    if isinstance(f, Expr):
-        return compile_numpy(f)
-
-    def looped(x):
-        arr = np.asarray(x, dtype=float)
-        flat = arr.ravel()
-        out = np.empty_like(flat)
-        for i, v in enumerate(flat):
-            try:
-                out[i] = f(float(v))
-            except (DomainError, ValueError, OverflowError, ZeroDivisionError):
-                out[i] = np.nan
-        return out.reshape(arr.shape)
-
-    return looped
+    """Array view of an Expr (its compiled program) or an array callable
+    (the callable itself)."""
+    return compile_numpy(f) if isinstance(f, Expr) else f
 
 
 # -- scale-shift transforms ---------------------------------------------------

@@ -19,13 +19,7 @@ from . import expr as E
 from .classify import MonotonicityClass, classify_monotonicity, sample_grid
 from .expr import Expr, as_vector_fn, compile_numpy, differentiate, evaluate
 from .intervals import Interval, hull
-from .invert import (
-    apply_steps,
-    closed_form_steps,
-    invert_many_bracketed,
-    invert_monotone,
-    residual_ok,
-)
+from .invert import apply_steps, closed_form_steps, invert_monotone, within
 from .parse import parse
 
 CLOSED_FORM = "closed-form"
@@ -34,27 +28,33 @@ BRACKETED_NUMERIC = "bracketed-numeric"
 
 @dataclass(frozen=True)
 class GeneratorMap:
-    """A strictly monotone map on an interval, ready for inversion."""
+    """A strictly monotone map on an interval, ready for inversion.
+
+    The map is held as its two array views, `_fvec` for its values and
+    `_dvec` for its derivative, which give NaN or ±inf, never an error,
+    where the map is undefined.  Every other view calls them: `__call__` and
+    `derivative_at` are their one-point calls, and `invert` is the one-point
+    call of :func:`invert_monotone`, seeded with the closed-form candidate
+    when the map has inversion `_steps`.  The inverse map's views run the
+    same engine on arrays.
+    """
 
     expr: Optional[Expr]
     domain: Interval
     image: Interval
     monotonicity: MonotonicityClass
     inverse_strategy: str
-    _fval: Callable[[float], float] = field(repr=False, compare=False, default=None)
-    _dval: Callable[[float], float] = field(repr=False, compare=False, default=None)
-    _steps: Optional[tuple] = field(repr=False, compare=False, default=None)
-    _forward: Optional["GeneratorMap"] = field(repr=False, compare=False, default=None)
-    # Array views of _fval and _dval; every constructor passes both.
     _fvec: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False, default=None)
     _dvec: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False, default=None)
+    _steps: Optional[tuple] = field(repr=False, compare=False, default=None)
+    _forward: Optional["GeneratorMap"] = field(repr=False, compare=False, default=None)
 
     @property
     def increasing(self) -> bool:
         return self.monotonicity.is_strictly_increasing
 
     def __call__(self, x: float) -> float:
-        v = self._fval(float(x))
+        v = float(self._fvec(np.array([float(x)]))[0])
         if not math.isfinite(v):
             raise DomainError(f"map undefined at {x}")
         return v
@@ -63,7 +63,7 @@ class GeneratorMap:
         return self._fvec(xs)
 
     def derivative_at(self, x: float) -> float:
-        return self._dval(float(x))
+        return float(self._dvec(np.array([float(x)]))[0])
 
     def derivative_many(self, xs) -> np.ndarray:
         return self._dvec(xs)
@@ -71,14 +71,20 @@ class GeneratorMap:
     def invert(self, u: float) -> float:
         """x with |map(x) − u| within the mixed 1e-12 tolerance."""
         u = float(u)
-        if not self.image.contains(u, slack=max(1e-9, 1e-9 * abs(u))):
+        if not (math.isfinite(u) and self.image.contains(u, slack=max(1e-9, 1e-9 * abs(u)))):
             raise InversionError(f"value {u} lies outside the image {self.image}")
         if self._forward is not None:
             return self._forward(u)
-        x0 = float(apply_steps(self._steps, [u])[0]) if self._steps is not None else None
-        return invert_monotone(
-            self._fval, self.domain, u, self.increasing, deriv=self._dval, x0=x0
-        )
+        x = float(self._preimages(np.array([u]))[0])
+        if math.isnan(x):
+            raise InversionError(f"inverse at {u} did not meet tolerance inside {self.domain}")
+        return x
+
+    def _preimages(self, us: np.ndarray) -> np.ndarray:
+        """One engine call for every target of `us`, with the closed-form
+        candidates when the map has inversion steps."""
+        x0 = apply_steps(self._steps, us) if self._steps is not None else None
+        return invert_monotone(self._fvec, self.domain, us, self.increasing, self._dvec, x0)
 
     def inverse(self) -> "GeneratorMap":
         """The inverse map, with domain and image swapped.
@@ -92,26 +98,13 @@ class GeneratorMap:
         if inv_expr is not None and not _probe_inverse_expr(self, inv_expr):
             inv_expr = None
 
-        def inv_val(u: float) -> float:
-            try:
-                return self.invert(u)
-            except (InversionError, DomainError):
-                return math.nan
-
-        def inv_deriv(u: float) -> float:
-            try:
-                x = self.invert(u)
-                d = self._dval(x)
-                return 1.0 / d if d != 0.0 else math.nan
-            except (InversionError, DomainError, ZeroDivisionError):
-                return math.nan
-
         def inv_many(us) -> np.ndarray:
-            return _invert_many(self, np.asarray(us, dtype=float), inv_val)
+            us = np.asarray(us, dtype=float)
+            return self._preimages(np.where(within(self.image, us), us, np.nan))
 
         def inv_deriv_many(us) -> np.ndarray:
             with np.errstate(divide="ignore", invalid="ignore"):
-                d = self.derivative_many(inv_many(us))
+                d = self._dvec(inv_many(us))
                 return np.where(d != 0.0, 1.0 / d, np.nan)
 
         return GeneratorMap(
@@ -120,48 +113,11 @@ class GeneratorMap:
             image=self.domain,
             monotonicity=self.monotonicity,
             inverse_strategy=CLOSED_FORM if inv_expr is not None else BRACKETED_NUMERIC,
-            _fval=inv_val,
-            _dval=inv_deriv,
-            _steps=None,
-            _forward=self,
             _fvec=inv_many,
             _dvec=inv_deriv_many,
+            _steps=None,
+            _forward=self,
         )
-
-
-def _invert_many(gm: GeneratorMap, us: np.ndarray, inv_val) -> np.ndarray:
-    """Preimages of `us` under `gm`, NaN outside its image.
-
-    Candidates come from the closed-form steps, else from one vectorized
-    bisection over the domain (infinite ends cut at ±1e6) and Newton
-    polish.  A candidate is kept where it lies in the domain and meets the
-    residual tolerance of :meth:`GeneratorMap.invert`; every other point
-    goes through the scalar inversion `inv_val`.
-    """
-    d = gm.domain
-    if gm._steps is not None:
-        xs = apply_steps(gm._steps, us)
-    else:
-        lo = d.lo if math.isfinite(d.lo) else min(-1e6, d.hi - 1.0)
-        hi = d.hi if math.isfinite(d.hi) else max(1e6, d.lo + 1.0)
-        # Bisect to the width at which invert_monotone stops, then polish.
-        width = 1e-8 * max(1.0, abs(lo), abs(hi))
-        iters = max(0, math.ceil(math.log2((hi - lo) / width)))
-        xs = invert_many_bracketed(
-            gm.value_many, lo, hi, us, gm.increasing, gm.derivative_many, iters
-        )
-    ok = residual_ok(gm.value_many(xs), us) & (xs >= d.lo) & (xs <= d.hi)
-    out = np.where(ok, xs, np.nan)
-    for i in np.flatnonzero(~ok):
-        out.flat[i] = inv_val(float(us.flat[i]))
-    return out
-
-
-def _scalar_view(fvec) -> Callable[[float], float]:
-    def fval(x: float) -> float:
-        return float(fvec(np.asarray([x]))[0])
-
-    return fval
 
 
 def _limit_toward(fvec, d: Interval, side: str) -> float:
@@ -218,11 +174,11 @@ def _probe_points(d: Interval, n: int = 5):
 
 
 def _probe_inverse_expr(gm: "GeneratorMap", inv_expr: Expr) -> bool:
-    for x in _probe_points(gm.domain):
+    xs = _probe_points(gm.domain)
+    for x, u in zip(xs, gm._fvec(np.array(xs)).tolist()):
+        if not math.isfinite(u):
+            continue
         try:
-            u = gm._fval(x)
-            if not math.isfinite(u):
-                continue
             back = evaluate(inv_expr, u)
         except DomainError:
             return False
@@ -262,9 +218,7 @@ def generator_map(source: Union[Expr, str], domain: Interval) -> GeneratorMap:
     ys = fvec(sample_grid(domain, 33))
     if np.any(np.diff(ys[np.isfinite(ys)]) * mono.direction < 0):
         raise DomainError(f"map {expr} has a pole or jump inside {domain}")
-    fval = _scalar_view(fvec)
     dvec = compile_numpy(differentiate(expr))
-    dval = _scalar_view(dvec)
 
     closed_lo = None
     closed_hi = None
@@ -300,12 +254,9 @@ def generator_map(source: Union[Expr, str], domain: Interval) -> GeneratorMap:
         image=img,
         monotonicity=mono,
         inverse_strategy=strategy,
-        _fval=fval,
-        _dval=dval,
-        _steps=steps,
-        _forward=None,
         _fvec=fvec,
         _dvec=dvec,
+        _steps=steps,
     )
 
 

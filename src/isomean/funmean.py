@@ -45,11 +45,12 @@ from .frame import (
     make_frame,
 )
 from .intervals import Interval, hull as hull_of
-from .invert import apply_steps, invert_many_bracketed
 from .parse import parse
 from .quadrature import endpoint_limit, integrate, max_subdivisions
 
-FnLike = Union[Expr, str, Callable[[float], float]]
+# A callable f is an array callable: values at an array of points, NaN where
+# f is undefined (see expr.as_vector_fn).
+FnLike = Union[Expr, str, Callable[[np.ndarray], np.ndarray]]
 
 #: Values beyond this magnitude mark the mean as a generalized (unbounded-f)
 #: construction in the result detail.
@@ -246,9 +247,7 @@ def dvi_mean_riemann_oracle(problem: MeanProblem, n: int) -> float:
     ga, gb = g(d.lo), g(d.hi)
     us = ga + (np.arange(n) + 0.5) * (gb - ga) / n
 
-    xs = apply_steps(g._steps, us) if g._steps is not None else None
-    if xs is None or not np.all(np.isfinite(xs)):
-        xs = invert_many_bracketed(g.value_many, d.lo, d.hi, us, g.increasing)
+    xs = g._preimages(us)
     vals = h.value_many(as_vector_fn(problem.f)(xs))
     if not np.all(np.isfinite(vals)):
         raise DomainError("oracle integrand not finite on the midpoint grid")
@@ -556,8 +555,8 @@ def conjugation_classII(f: FnLike, g: FnLike, fdomain: Interval) -> ConjugationR
     a, b = fdomain.lo, fdomain.hi
     A, B = fm(a), fm(b)
     C, D = gm(a), gm(b)
-    E = class_II_mean(fm.expr if fm.expr is not None else fm._fval, fdomain, gm).value
-    F = class_II_mean(gm.expr if gm.expr is not None else gm._fval, fdomain, fm).value
+    E = class_II_mean(fm.expr, fdomain, gm).value
+    F = class_II_mean(gm.expr, fdomain, fm).value
     G = 0.5 * (A + B)
     H = 0.5 * (C + D)
     if min(abs(B - E), abs(D - F)) < 1e-300:

@@ -1,13 +1,15 @@
 """Inversion of strictly monotone maps.
 
-Two routes: a closed-form unwinding of affine/power/exp/ln/reciprocal/sqrt
-chains, and a bracketed numeric fallback (bisection to 1e-8, then Newton
-polish).  :func:`closed_form_steps` writes the unwinding down once as a step
-list, and :func:`apply_steps` is its one reader: on an array of values it
-gives candidate preimages, on an expression the inverse map's expression.
-Candidates from the closed form are always residual-checked, so a wrong
-branch (even powers on a negative domain, say) falls through to the numeric
-route instead of returning silently wrong values.
+Two parts.  :func:`closed_form_steps` unwinds affine/power/exp/ln/
+reciprocal/sqrt chains into a step list, and :func:`apply_steps` is its one
+reader: on an array of values it gives candidate preimages, on an
+expression the inverse map's expression.  :func:`invert_monotone` is the
+one numeric inversion: arrays of targets in, preimages out.  It takes the
+closed-form candidates that meet the residual tolerance, brackets the other
+targets on one shared ladder of points, and solves them by Newton steps
+kept inside their brackets.  So a wrong closed-form branch (even powers on
+a negative domain, say) falls through to the numeric route instead of
+returning silently wrong values.
 """
 
 from __future__ import annotations
@@ -17,29 +19,41 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._errors import InversionError
 from . import expr as E
 from .expr import Expr
 from .intervals import Interval
 
 # Mixed abs/rel residual tolerance for an accepted inverse value.
-_RES_ABS = 1e-12
-_RES_REL = 1e-12
+_RES_ABS = np.array(1e-12)  # 0-d arrays: cheaper than floats in small ufunc calls
+_RES_REL = np.array(1e-12)
 
 
-def residual_tol(u: float) -> float:
-    return max(_RES_ABS, _RES_REL * abs(u))
+def _tolerance(us: np.ndarray) -> np.ndarray:
+    return np.maximum(_RES_ABS, _RES_REL * np.abs(us))
 
 
 def residual_ok(values: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Where map values hit their targets `us` within :func:`residual_tol`."""
-    return np.abs(values - us) <= np.maximum(_RES_ABS, _RES_REL * np.abs(us))
+    """Where map values hit their targets `us` within the mixed 1e-12."""
+    return np.abs(values - us) <= _tolerance(us)
 
 
 # -- closed-form chain --------------------------------------------------------
 
-def _const_of(e: Expr) -> Optional[float]:
-    return e.value if e.op == "const" else None
+# The step that undoes a unary node, and the one that undoes a binary node
+# whose operand at the given index is a constant.
+_UNDO_UNARY = {"neg": "neg", "exp": "ln", "ln": "exp", "sqrt": "square"}
+_UNDO_BINARY = {
+    ("add", 1): "sub_c", ("add", 0): "sub_c", ("sub", 1): "add_c", ("sub", 0): "rsub_c",
+    ("mul", 1): "div_c", ("mul", 0): "div_c", ("div", 1): "mul_c", ("div", 0): "rdiv_c",
+    ("pow", 1): "root", ("pow", 0): "log_base",
+}
+
+
+def _takes(step: str, c: float) -> bool:
+    """Whether `step` undoes its node with the constant `c`."""
+    if step == "log_base":
+        return c > 0.0 and c != 1.0
+    return c != 0.0 or step in ("sub_c", "add_c", "rsub_c")
 
 
 def closed_form_steps(e: Expr):
@@ -47,66 +61,19 @@ def closed_form_steps(e: Expr):
     steps = []
     node = e
     while node.op != "var":
-        op = node.op
-        if op == "neg":
-            steps.append(("neg", 0.0))
+        if node.op in _UNDO_UNARY:
+            steps.append((_UNDO_UNARY[node.op], 0.0))
             node = node.args[0]
             continue
-        if op in ("add", "sub", "mul", "div"):
-            a, b = node.args
-            ca, cb = _const_of(a), _const_of(b)
-            if op == "add" and cb is not None:
-                steps.append(("sub_c", cb))
-                node = a
-            elif op == "add" and ca is not None:
-                steps.append(("sub_c", ca))
-                node = b
-            elif op == "sub" and cb is not None:
-                steps.append(("add_c", cb))
-                node = a
-            elif op == "sub" and ca is not None:
-                steps.append(("rsub_c", ca))
-                node = b
-            elif op == "mul" and cb is not None and cb != 0.0:
-                steps.append(("div_c", cb))
-                node = a
-            elif op == "mul" and ca is not None and ca != 0.0:
-                steps.append(("div_c", ca))
-                node = b
-            elif op == "div" and cb is not None and cb != 0.0:
-                steps.append(("mul_c", cb))
-                node = a
-            elif op == "div" and ca is not None and ca != 0.0:
-                steps.append(("rdiv_c", ca))
-                node = b
-            else:
-                return None
-            continue
-        if op == "pow":
-            a, b = node.args
-            ca, cb = _const_of(a), _const_of(b)
-            if cb is not None and cb != 0.0:
-                steps.append(("root", cb))
-                node = a
-            elif ca is not None and ca > 0.0 and ca != 1.0:
-                steps.append(("log_base", ca))
-                node = b
-            else:
-                return None
-            continue
-        if op == "exp":
-            steps.append(("ln", 0.0))
-            node = node.args[0]
-            continue
-        if op == "ln":
-            steps.append(("exp", 0.0))
-            node = node.args[0]
-            continue
-        if op == "sqrt":
-            steps.append(("square", 0.0))
-            node = node.args[0]
-            continue
-        return None
+        for k in (1, 0):  # a constant on the right first
+            step = _UNDO_BINARY.get((node.op, k))
+            c = node.args[k].value if step and node.args[k].op == "const" else None
+            if c is not None and _takes(step, c):
+                steps.append((step, c))
+                node = node.args[1 - k]
+                break
+        else:
+            return None
     return tuple(steps)
 
 
@@ -116,13 +83,14 @@ def _real_root(u: np.ndarray, c: float) -> np.ndarray:
     A negative u has one only for an odd integer c (negative ones too), and
     u = 0 only for c > 0.
     """
-    x = np.power(np.abs(u), 1.0 / c)
-    odd = c % 2 == 1
-    if odd:
-        x = np.copysign(x, u)
-    if c > 0:
-        return x if odd else np.where(u < 0, np.nan, x)
-    return np.where(u == 0 if odd else u <= 0, np.nan, x)
+    inv = 1.0 / c
+    if c % 2 == 1:
+        x = np.copysign(np.power(np.abs(u), inv), u)
+    elif inv % 1:
+        x = np.power(u, inv)  # NaN for negative u: the power is not an integer
+    else:
+        x = np.where(u < 0, np.nan, np.power(u, inv))
+    return x if c > 0 else np.where(u == 0, np.nan, x)
 
 
 # The steps that are not plain arithmetic, for each kind of argument.
@@ -140,6 +108,7 @@ _EXPR_STEPS = {
 }
 
 
+@np.errstate(all="ignore")
 def apply_steps(steps, u):
     """Run the steps of :func:`closed_form_steps` on `u`.
 
@@ -154,217 +123,184 @@ def apply_steps(steps, u):
     else:
         table = _ARRAY_STEPS
         u = np.asarray(u, dtype=float)
-    with np.errstate(all="ignore"):
-        for op, c in steps:
-            if op == "neg":
-                u = -u
-            elif op == "sub_c":
-                u = u - c
-            elif op == "add_c":
-                u = u + c
-            elif op == "rsub_c":
-                u = c - u
-            elif op == "div_c":
-                u = u / c
-            elif op == "mul_c":
-                u = u * c
-            elif op == "square":
-                u = u ** 2
-            elif op == "log_base":
-                u = table["ln"](u, c) / math.log(c)
-            else:
-                u = table[op](u, c)
+    for op, c in steps:
+        if op == "neg":
+            u = -u
+        elif op == "sub_c":
+            u = u - c
+        elif op == "add_c":
+            u = u + c
+        elif op == "rsub_c":
+            u = c - u
+        elif op == "div_c":
+            u = u / c
+        elif op == "mul_c":
+            u = u * c
+        elif op == "square":
+            u = u ** 2
+        elif op == "log_base":
+            u = table["ln"](u, c) / math.log(c)
+        else:
+            u = table[op](u, c)
     return u
 
 
-# -- numeric fallback ---------------------------------------------------------
+# -- the numeric engine -------------------------------------------------------
 
-def _expand_bracket(fval, d: Interval, u: float):
-    """Find finite lo <= hi inside d with g-values straddling u.
+def within(d: Interval, xs: np.ndarray) -> np.ndarray:
+    """Where `xs` lie in `d`: finite points only, a closed finite end e
+    widened by 1e-9·(1 + |e|)."""
+    lo, hi = d.lo, d.hi
+    above = xs > lo if d.lo_open or math.isinf(lo) else xs >= lo - 1e-9 * (1.0 + abs(lo))
+    below = xs < hi if d.hi_open or math.isinf(hi) else xs <= hi + 1e-9 * (1.0 + abs(hi))
+    return above & below
 
-    The search starts from d pulled in by 1e-3 and pushes both ends outward
-    toward d's ends.  A point where g is not finite (exp overflowing inside
-    an unbounded domain, say) becomes a wall on its side: an end that
-    starts there is pulled back to the other end, and later pushes on that
-    side go halfway to the wall.
+
+def _push(end: float, wall: Optional[float], bound: float, outward: float) -> float:
+    """The next ladder point beyond `end`, toward the domain end `bound`.
+
+    `outward` is −1 on the low side and +1 on the high side.  Past a point
+    where the map is NaN (the wall) the push goes halfway to it; toward a
+    finite end, nine tenths of the way; along an infinite end, to ×4 + 1.
+    `end` itself comes back when no point is left to try.
+    """
+    if wall is not None:
+        return 0.5 * (end + wall)
+    if math.isinf(bound):
+        return outward * (4.0 * abs(end) + 1.0)
+    cand = bound + (end - bound) * 0.1
+    return end if (cand - bound) * outward >= 0.0 else cand
+
+
+def _ladder(fvec, d: Interval, sgn: float, tmin: float, tmax: float):
+    """Ascending points of `d` whose values times `sgn` reach [tmin, tmax].
+
+    The ladder starts from `d` pulled in by 1e-3 and grows one point per
+    side and round, only on a side that the targets still pass, for at
+    most 220 rounds.  ±inf values order like any other; a NaN value is a
+    wall, and the side's later points go halfway back toward its last
+    point.  Returns a list of (x, sgn·g(x)), or None when g is NaN at both
+    ends and the middle of the start.
     """
     box = d.clamp_inward(1e-3)
-
-    # g(x) − u, or None where g is not finite.
-    def side(x):
-        v = fval(x)
-        return v - u if math.isfinite(v) else None
-
-    lo, hi = box.lo, box.hi
-    lo_s, hi_s = side(lo), side(hi)
-    lo_wall = hi_wall = None
-    if lo_s is None:
-        lo_wall, lo, lo_s = lo, hi, hi_s
-    if hi_s is None:
-        hi_wall, hi, hi_s = hi, lo, lo_s
-    if lo_s is None:
-        lo = hi = 0.5 * (box.lo + box.hi)
-        lo_s = hi_s = side(lo)
-        if lo_s is None:
-            raise InversionError(f"the map is not finite at the ends or the middle of {box}")
+    xs = [box.lo, box.hi] if box.hi > box.lo else [box.lo]
+    vs = (sgn * fvec(np.array(xs))).tolist()
+    walls = [box.lo if math.isnan(vs[0]) else None, box.hi if math.isnan(vs[-1]) else None]
+    ladder = [(x, v) for x, v in zip(xs, vs) if not math.isnan(v)]
+    if not ladder:
+        mid = 0.5 * (box.lo + box.hi)
+        v = sgn * float(fvec(np.array([mid]))[0])
+        if math.isnan(v):
+            return None
+        ladder = [(mid, v)]
     for _ in range(220):
-        if lo_s * hi_s <= 0.0:
-            return lo, hi
-        # Extend the low side.
-        if lo_wall is not None:
-            cand = 0.5 * (lo + lo_wall)
-        elif math.isinf(d.lo):
-            cand = lo * 4.0 - 1.0 if lo < 0 else -4.0 * abs(lo) - 1.0
-        else:
-            cand = d.lo + (lo - d.lo) * 0.1
-            if cand <= d.lo:
-                cand = lo
-        if cand != lo:
-            cs = side(cand)
-            if cs is None:
-                lo_wall = cand
+        cands = []
+        if tmin < ladder[0][1]:
+            x = _push(ladder[0][0], walls[0], d.lo, -1.0)
+            if x != ladder[0][0]:
+                cands.append((0, x))
+        if tmax > ladder[-1][1]:
+            x = _push(ladder[-1][0], walls[1], d.hi, 1.0)
+            if x != ladder[-1][0]:
+                cands.append((1, x))
+        if not cands:
+            break
+        vs = (sgn * fvec(np.array([x for _, x in cands]))).tolist()
+        for (side, x), v in zip(cands, vs):
+            if math.isnan(v):
+                walls[side] = x
+            elif side:
+                ladder.append((x, v))
             else:
-                lo, lo_s = cand, cs
-        # Extend the high side.
-        if hi_wall is not None:
-            cand = 0.5 * (hi + hi_wall)
-        elif math.isinf(d.hi):
-            cand = hi * 4.0 + 1.0 if hi > 0 else 4.0 * abs(hi) + 1.0
-        else:
-            cand = d.hi - (d.hi - hi) * 0.1
-            if cand >= d.hi:
-                cand = hi
-        if cand != hi:
-            cs = side(cand)
-            if cs is None:
-                hi_wall = cand
-            else:
-                hi, hi_s = cand, cs
-    raise InversionError(f"target value {u} could not be bracketed inside {d}")
+                ladder.insert(0, (x, v))
+    return ladder
 
 
 def invert_monotone(
-    fval: Callable[[float], float],
+    fvec: Callable[[np.ndarray], np.ndarray],
     d: Interval,
-    u: float,
+    us,
     increasing: bool,
-    deriv: Optional[Callable[[float], float]] = None,
-    x0: Optional[float] = None,
-) -> float:
-    """Solve g(x) = u for strictly monotone g on d.
-
-    `fval` must return NaN/inf (not raise) outside g's domain.  An optional
-    closed-form candidate `x0` is polished first; otherwise the root is
-    bracketed, bisected to 1e-8 and Newton-polished.
-    """
-    tol = residual_tol(u)
-
-    def ok(x):
-        v = fval(x)
-        return math.isfinite(v) and abs(v - u) <= tol
-
-    if x0 is not None and math.isfinite(x0) and d.contains(x0, slack=1e-9 * (1 + abs(x0))):
-        if ok(x0):
-            return x0
-        if deriv is not None:
-            x = x0
-            for _ in range(8):
-                dv = deriv(x)
-                fv = fval(x)
-                if not (math.isfinite(dv) and math.isfinite(fv)) or dv == 0.0:
-                    break
-                x_new = x - (fv - u) / dv
-                if not math.isfinite(x_new) or not d.contains(x_new, slack=1e-9 * (1 + abs(x_new))):
-                    break
-                x = x_new
-                if ok(x):
-                    return x
-
-    lo, hi = _expand_bracket(fval, d, u)
-    flo = fval(lo)
-    lo_below = (flo <= u) if increasing else (flo >= u)
-    if not lo_below:
-        lo, hi = hi, lo  # orient so that the root is approached consistently
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        if abs(hi - lo) <= 1e-8 * max(1.0, abs(lo), abs(hi)):
-            break
-        x = 0.5 * (lo + hi)
-        fx = fval(x)
-        if not math.isfinite(fx):
-            # Nudge deterministically toward hi to escape a bad midpoint.
-            x = x + (hi - lo) * 1e-3
-            fx = fval(x)
-            if not math.isfinite(fx):
-                break
-        below = (fx <= u) if increasing else (fx >= u)
-        if below:
-            lo = x
-        else:
-            hi = x
-    x = 0.5 * (lo + hi)
-    if deriv is not None:
-        for _ in range(10):
-            if ok(x):
-                return x
-            dv = deriv(x)
-            fv = fval(x)
-            if not (math.isfinite(dv) and math.isfinite(fv)) or dv == 0.0:
-                break
-            x_new = x - (fv - u) / dv
-            if not math.isfinite(x_new) or not (min(lo, hi) - abs(hi - lo) <= x_new <= max(lo, hi) + abs(hi - lo)):
-                break
-            if x_new == x:
-                break
-            x = x_new
-    if ok(x):
-        return x
-    # Accept when the bracket has collapsed to rounding width: the residual
-    # is then evaluation-limited, not search-limited.
-    if abs(hi - lo) <= 8.0 * np.spacing(max(1.0, abs(lo), abs(hi))):
-        return x
-    fx = fval(x)
-    if math.isfinite(fx) and abs(fx - u) <= max(1e-9, 1e-9 * abs(u)):
-        return x
-    raise InversionError(f"inverse at {u} did not meet tolerance (residual {fx - u:.3e})")
-
-
-def invert_many_bracketed(
-    vec_fn: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    us: np.ndarray,
-    increasing: bool,
-    deriv_vec: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    iters: int = 60,
+    dvec: Callable[[np.ndarray], np.ndarray],
+    x0=None,
 ) -> np.ndarray:
-    """Vectorized inversion when every solution lies in [a, b].
+    """Solve g(x) = u on `d` for every u of `us`, g strictly monotone there.
 
-    Bisects `iters` times.  With `deriv_vec`, then polishes as
-    :func:`invert_monotone` does: up to 10 Newton steps, each taken only
-    where the residual still exceeds :func:`residual_tol`.
+    `fvec` and `dvec` are the array views of g and g′; they give NaN or
+    ±inf, and never raise, where g is undefined or overflows.  `x0`, when
+    given, holds one closed-form candidate per target.  The targets are
+    finite, or NaN for none.  Returns the preimages in the shape of `us`,
+    NaN where none is accepted.
+
+    A candidate that lies in `d` and meets :func:`residual_ok` is taken as
+    it is.  The other targets are bracketed between neighbours of one
+    ladder of points (:func:`_ladder`) and solved by Newton steps from the
+    secant point of their bracket.  A step that leaves the bracket is
+    replaced by bisection, and every evaluation shrinks the bracket.  A
+    point is accepted when it meets :func:`residual_ok`, or when its
+    bracket has collapsed to 8 ulps (the residual is then limited by the
+    evaluation, not the search).  After 200 steps a residual within a mixed
+    1e-9 is still accepted.
     """
-    us = np.asarray(us, dtype=float)
-    lo = np.full(us.shape, min(a, b))
-    hi = np.full(us.shape, max(a, b))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = vec_fn(mid)
-        below = (fm <= us) if increasing else (fm >= us)
-        # ±inf from an overflow orders like any value; only NaN does not.
-        below = np.where(np.isnan(fm), True, below)
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    x = 0.5 * (lo + hi)
-    if deriv_vec is not None:
-        for _ in range(10):
-            with np.errstate(all="ignore"):
-                fx = vec_fn(x)
-                step = (fx - us) / deriv_vec(x)
-            move = np.isfinite(step) & ~residual_ok(fx, us)
-            if not move.any():
-                break
-            x_new = np.where(move, x - step, x)
-            inside = (x_new >= lo - (hi - lo)) & (x_new <= hi + (hi - lo))
-            x = np.where(inside, x_new, x)
-    return x
+    u = np.asarray(us, dtype=float)
+    if x0 is None:
+        out = np.full(u.shape, np.nan)
+        todo = np.isfinite(u)
+    else:
+        c = np.asarray(x0, dtype=float)
+        hit = within(d, c) & residual_ok(fvec(c), u)
+        if np.count_nonzero(hit) == hit.size:
+            return c
+        out = np.where(hit, c, np.nan)
+        todo = ~hit & np.isfinite(u)
+    if np.count_nonzero(todo):
+        idx = np.flatnonzero(todo)
+        _solve(fvec, dvec, d, u.ravel()[idx], increasing, idx, out.reshape(-1))
+    return out
+
+
+@np.errstate(all="ignore")
+def _solve(fvec, dvec, d, u, increasing, idx, out) -> None:
+    """Bracket and Newton-solve the targets `u`, writing into `out[idx]`."""
+    tol = _tolerance(u)
+    sgn = 1.0 if increasing else -1.0
+    t = sgn * u
+    ladder = _ladder(fvec, d, sgn, float(t.min()), float(t.max()))
+    if ladder is None:
+        return
+    # A one-point ladder brackets only the targets it hits exactly.
+    lx, lv = np.array(ladder * 2 if len(ladder) == 1 else ladder).T
+    j = np.clip(np.searchsorted(lv, t), 1, lx.size - 1)
+    lo, hi, vlo, vhi = lx[j - 1], lx[j], lv[j - 1], lv[j]
+    keep = (vlo <= t) & (t <= vhi)
+    if np.count_nonzero(keep) != keep.size:
+        idx, u, tol, lo, hi, vlo, vhi, t = (a[keep] for a in (idx, u, tol, lo, hi, vlo, vhi, t))
+    # The secant point of the bracket, or its middle where that fails.
+    x = lo + (hi - lo) * ((t - vlo) / (vhi - vlo))
+    np.copyto(x, 0.5 * (lo + hi), where=~((x >= lo) & (x <= hi)))
+    for _ in range(200):
+        if not idx.size:
+            return
+        r = fvec(x) - u
+        done = np.abs(r) <= tol
+        if np.count_nonzero(done) == done.size:
+            out[idx] = x
+            return
+        above = r > 0.0 if increasing else r < 0.0
+        np.copyto(hi, x, where=above)
+        np.copyto(lo, x, where=~above)
+        xn = x - r / dvec(x)
+        inside = (xn > lo) & (xn < hi)
+        if np.count_nonzero(inside) != inside.size:
+            # Bisect where the Newton step leaves the bracket, and accept x
+            # where the bracket has collapsed onto it.
+            np.copyto(xn, 0.5 * (lo + hi), where=~inside)
+            width = 8.0 * np.spacing(np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
+            done |= ~inside & (hi - lo <= width)
+        if np.count_nonzero(done):
+            out[idx[done]] = x[done]
+            keep = ~done
+            idx, u, tol, lo, hi, xn = (a[keep] for a in (idx, u, tol, lo, hi, xn))
+        x = xn
+    ok = np.abs(fvec(x) - u) <= np.maximum(1e-9, 1e-9 * np.abs(u))
+    out[idx[ok]] = x[ok]

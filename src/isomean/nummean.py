@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._errors import ComparisonContradiction, DomainError, WeightError
 from .classify import (
     AFFINE,
@@ -96,34 +98,28 @@ def iso_mean(xs, g: GeneratorMap) -> float:
 
 
 def _signed_ratio_classifier(num: GeneratorMap, den: GeneratorMap, absolute: bool):
-    """Build the ratio num'/den' (optionally |·|) as an Expr or a callable."""
+    """The ratio num'/den' (optionally |·|) as an Expr, or else as an
+    array callable."""
     if num.expr is not None and den.expr is not None:
         ratio = div(differentiate(num.expr), differentiate(den.expr))
         return absx(ratio) if absolute else ratio
 
-    def ratio_fn(x: float) -> float:
-        try:
-            dn = num.derivative_at(x)
-            dd = den.derivative_at(x)
-            v = dn / dd
-        except (ArithmeticError, DomainError):
-            return math.nan
-        return abs(v) if absolute else v
+    def ratio_fn(xs: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            v = num.derivative_many(xs) / den.derivative_many(xs)
+        return np.abs(v) if absolute else v
 
     return ratio_fn
 
 
 def _conjugate_fn(g: GeneratorMap, h: GeneratorMap):
-    """g∘h⁻¹ as an Expr when both sides have one, else as a callable."""
+    """g∘h⁻¹ as an Expr when both sides have one, else as an array callable."""
     hinv = h.inverse()
     if g.expr is not None and hinv.expr is not None:
         return substitute(g.expr, hinv.expr)
 
-    def phi(u: float) -> float:
-        try:
-            return g(h.invert(u))
-        except Exception:
-            return math.nan
+    def phi(us: np.ndarray) -> np.ndarray:
+        return g.value_many(hinv.value_many(us))
 
     return phi
 
@@ -189,7 +185,7 @@ def compare_number_means(
 
     if verdict is None:
         # Jensen fallback: convexity of the conjugate map on h's image.
-        hd = estimate_range_hull(h.expr if h.expr is not None else h._fval, d)
+        hd = estimate_range_hull(h.expr if h.expr is not None else h.value_many, d)
         phi = _conjugate_fn(g, h)
         conv = classify_convexity(phi, hd, samples)
         ev = dict(evidence, route="jensen", conjugate_window=str(hd))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from isomean import bivariate
 from isomean._errors import DomainError, PreconditionError
 from isomean.bivariate import (
     Antiderivative,
@@ -189,6 +190,28 @@ def test_integral_view_to_secant_view():
     xs = np.linspace(1.0, 3.0, 9)
     vals = [F(float(x)) for x in xs]
     assert all(b > a for a, b in zip(vals, vals[1:]))  # positive integrand
+
+
+def test_integral_view_of_a_map_without_an_expression(monkeypatch):
+    # the base map is an inverse with no closed form, so the integrand is an
+    # array callable: it must be called on arrays, not once per point
+    calls = []
+
+    class Counting(bivariate.Antiderivative):
+        def __init__(self, integrand, d, knots=129):
+            def counted(xs):
+                calls.append(np.size(xs))
+                return integrand(xs)
+
+            super().__init__(counted, d, knots)
+
+    monkeypatch.setattr(bivariate, "Antiderivative", Counting)
+    g = generator_map("x+exp(x)", Interval(0.0, 10.0)).inverse()
+    assert g.expr is None
+    F, residual = classV_to_cauchy(g, "y^2", None, Interval(3.0, 9.0))
+    assert isinstance(F, Counting)
+    assert 0 < len(calls) < 50
+    assert residual <= 1e-9
 
 
 @pytest.mark.parametrize("kind", ["random", "cancelling"])

@@ -1,8 +1,10 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no private top-level name goes unreferenced by the whole package, and no
-function of the expression module recurses."""
+no private top-level name goes unreferenced by the whole package, no
+function of the expression module recurses, and every name the benchmark's
+tracer wraps still exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -118,3 +120,26 @@ def test_self_reference_scan_finds_recursion():
 
 def test_expression_module_does_not_recurse():
     assert self_references((PACKAGE / "expr.py").read_text()) == []
+
+
+TRACER = PACKAGE.parent.parent / "perfbench" / "tracer.py"
+
+
+def tracer_spans() -> tuple:
+    """The tracer's SPANS table, read from its source without importing it."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SPANS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no SPANS table in {TRACER}")
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    # `perfbench/run.py --trace 1` looks these up by name; a rename breaks it
+    lookups = [(module, attr, cls) for _, module, attr, cls in tracer_spans()]
+    lookups += [("isomean.quadrature", "is_improper_near", None), ("isomean.expr", "evaluate", None)]
+    assert len(lookups) > 2
+    for module, attr, cls in lookups:
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = getattr(owner, cls)
+        assert callable(getattr(owner, attr, None)), f"{module}:{cls or ''}.{attr}"

@@ -1,13 +1,15 @@
 """Generator maps: inversion strategies, framing, bondedness checks."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from isomean import compare
 from isomean._errors import DomainError, NonMonotoneError, InversionError
+from isomean.expr import differentiate, evaluate
 from isomean.frame import (
-    GeneratorMap,
     check_bonded,
     estimate_range_hull,
     generator_map,
@@ -204,6 +206,11 @@ def _vector_view_case(name, monkeypatch):
 @pytest.mark.parametrize("name", VECTOR_VIEW_MAPS)
 def test_vector_views_match_the_scalar_views(name, monkeypatch):
     m, xs = _vector_view_case(name, monkeypatch)
+    if name == "inverse":
+        # Its scalar views are one-point calls of its array views, so both
+        # are checked against an independent reference instead.
+        _check_inverse_views(m.inverse(), xs, (0.0, 1.0))
+        return
     want_v = np.array([m(x) for x in xs])
     want_d = np.array([m.derivative_at(x) for x in xs])
     np.testing.assert_array_max_ulp(m.value_many(xs), want_v, maxulp=2)
@@ -245,43 +252,73 @@ def test_pole_in_the_value_axis_window_is_rejected():
         class_I_mean("x", Interval(0.0, 1.0, lo_open=True), "1/x")
 
 
+def _check_inverse_views(g, us, bracket):
+    """g's inverse map against scipy's brentq on g's `math` path.
+
+    The reference solves evaluate(g.expr, x) = u over `bracket`, apart from
+    the inversion engine.  Both views of the inverse (the array view and its
+    one-point call) must be NaN, or raise, exactly outside g's image, meet
+    the mixed 1e-12 residual tolerance of invert(), and give derivatives
+    within rtol 1e-9 of 1/g′ at the reference.
+    """
+    inv = g.inverse()
+    us = np.asarray(us, dtype=float)
+    ok = np.array([g.image.contains(u) for u in us])
+    ref = np.array([
+        scipy.optimize.brentq(
+            lambda x, u=u: evaluate(g.expr, x) - u, *bracket, xtol=1e-300, maxiter=500
+        )
+        for u in us[ok]
+    ])
+    dref = np.array([1.0 / evaluate(differentiate(g.expr), x) for x in ref])
+    got, dgot = inv.value_many(us), inv.derivative_many(us)
+    np.testing.assert_array_equal(np.isnan(got), ~ok)
+    np.testing.assert_array_equal(np.isnan(dgot), ~ok)
+    for u in us[~ok]:
+        with pytest.raises(DomainError):
+            inv(u)
+    tol = np.maximum(1e-12, 1e-12 * np.abs(us[ok]))
+    slope = np.abs(g.derivative_many(ref))
+    for xs, ds in (
+        (got[ok], dgot[ok]),
+        (np.array([inv(u) for u in us[ok]]), np.array([inv.derivative_at(u) for u in us[ok]])),
+    ):
+        assert np.all(np.abs(g.value_many(xs) - us[ok]) <= tol)
+        assert np.all(np.abs(xs - ref) * slope <= 2.0 * tol)
+        np.testing.assert_allclose(ds, dref, rtol=1e-9)
+
+
 @pytest.mark.parametrize(
-    "src, domain",
+    "src, domain, bracket",
     [
-        ("x+exp(x)", Interval(0.0, 1.0)),
-        ("-x-exp(x)", Interval(-1.0, 1.0)),
-        ("x^3+x", Interval(-2.0, 3.0)),
-        ("x+exp(x)", Interval(-math.inf, 2.0)),
-        ("x^2.5", Interval(0.5, 3.0)),
-        ("ln(x)", Interval(0.0, math.inf, lo_open=True)),
+        ("x+exp(x)", Interval(0.0, 1.0), (0.0, 1.0)),
+        ("-x-exp(x)", Interval(-1.0, 1.0), (-1.0, 1.0)),
+        ("x^3+x", Interval(-2.0, 3.0), (-2.0, 3.0)),
+        ("x+exp(x)", Interval(-math.inf, 2.0), (-50.0, 2.0)),
+        ("x^2.5", Interval(0.5, 3.0), (0.5, 3.0)),
+        ("ln(x)", Interval(0.0, math.inf, lo_open=True), (1e-20, 1e20)),
     ],
     ids=["bracketed", "decreasing", "odd-cubic", "half-line", "closed-form", "log"],
 )
-def test_inverse_vector_view_matches_the_scalar_view(src, domain, monkeypatch):
+def test_inverse_vector_view_matches_the_scalar_view(src, domain, bracket):
     g = generator_map(src, domain)
-    inv = g.inverse()
-    d = inv.domain
+    d = g.image
     inside = np.linspace(max(d.lo, -40.0), min(d.hi, 40.0), 17)[1:-1]
     outside = [u for u in (d.lo - 1.0, d.hi + 1.0, math.nan) if not math.isinf(u)]
-    us = np.concatenate((inside, outside))
-    want = np.array([inv._fval(u) for u in us])
-    # inside the image the vector view makes no scalar inversion
+    _check_inverse_views(g, np.concatenate((inside, outside)), bracket)
+
+
+def test_one_point_inversion_stays_lean():
+    # a numeric inversion on [0, 5] made about 26 map calls before the
+    # engine took one array of targets
+    g = generator_map("x+exp(x)", Interval(0.0, 5.0))
     calls = []
-    scalar_invert = GeneratorMap.invert
-    monkeypatch.setattr(GeneratorMap, "invert", lambda m, u: calls.append(u) or scalar_invert(m, u))
-    inv.value_many(inside)
-    assert calls == []
-    got = inv.value_many(us)
-    # NaN exactly where the scalar view gives NaN: outside the image
-    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
-    assert not np.any(np.isnan(got[: len(inside)]))
-    ok = ~np.isnan(want)
-    # both views invert to the mixed 1e-12 residual tolerance of invert()
-    tol = np.maximum(1e-12, 1e-12 * np.abs(us[ok]))
-    assert np.all(np.abs(g.value_many(got[ok]) - us[ok]) <= tol)
-    slope = np.abs(g.derivative_many(want[ok]))
-    assert np.all(np.abs(got[ok] - want[ok]) * slope <= 2.0 * tol)
-    dgot = inv.derivative_many(us)
-    dwant = np.array([inv._dval(u) for u in us])
-    np.testing.assert_array_equal(np.isnan(dgot), np.isnan(dwant))
-    np.testing.assert_allclose(dgot[ok], dwant[ok], rtol=1e-9)
+
+    def counted(view):
+        return lambda xs: calls.append(np.size(xs)) or view(xs)
+
+    g = dataclasses.replace(g, _fvec=counted(g._fvec), _dvec=counted(g._dvec))
+    for x in (0.3, 1.2, 2.5, 4.9):
+        calls.clear()
+        assert g.invert(x + math.exp(x)) == pytest.approx(x, abs=1e-12)
+        assert len(calls) <= 26

@@ -7,9 +7,12 @@ import pytest
 import scipy.integrate
 
 from isomean._errors import DivergentIntegralError, DomainError
+from isomean.bivariate import Antiderivative
 from isomean.funmean import plain_mean
 from isomean.intervals import Interval
 from isomean.quadrature import (
+    _NODES,
+    _WEIGHTS,
     endpoint_limit,
     integrate,
     integrate_many,
@@ -23,6 +26,24 @@ def test_polynomials_are_exact_on_one_panel():
         val, err = integrate(lambda x, k=k: np.asarray(x) ** k, 0.0, 1.0)
         assert val == pytest.approx(1.0 / (k + 1), rel=1e-14)
         assert err < 1e-12
+
+
+def test_a_constant_integrates_to_rounding():
+    # the Kronrod weights sum to 2 in float64
+    val, _ = integrate(np.ones_like, 0.0, 1.0)
+    assert abs(val - 1.0) <= 2.0 * np.spacing(1.0)
+    anti = Antiderivative("x", Interval(0.0, 2.0))(2.0)
+    assert abs(anti - 2.0) <= 2.0 * np.spacing(2.0)
+
+
+@pytest.mark.parametrize("rule, degree", [("kronrod", 22), ("gauss", 13)])
+def test_panel_rules_integrate_monomials_to_rounding(rule, degree):
+    """QUADPACK's dqk15 rules are exact on x^k up to their degree."""
+    weights = _WEIGHTS[:, 0] if rule == "kronrod" else _WEIGHTS[:, 0] - _WEIGHTS[:, 1]
+    for k in range(degree + 1):
+        want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        got = math.fsum(weights * _NODES**k)
+        assert abs(got - want) <= 4.0 * np.spacing(2.0 / (k + 1)), k
 
 
 def test_oscillatory_integrand():
