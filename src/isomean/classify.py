@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -105,8 +106,7 @@ def sample_grid(d: Interval, n: int = DEFAULT_SAMPLES) -> np.ndarray:
     """
     if d.degenerate:
         raise PreconditionError("empty or degenerate interval")
-    j = np.arange(n)
-    t = (1.0 - np.cos(np.pi * j / (n - 1))) / 2.0  # Lobatto nodes on [0, 1]
+    t = _lobatto_nodes(n)
     lo, hi = d.lo, d.hi
     lo_inf, hi_inf = math.isinf(lo), math.isinf(hi)
     eps = 1e-6
@@ -128,6 +128,15 @@ def sample_grid(d: Interval, n: int = DEFAULT_SAMPLES) -> np.ndarray:
     if hi_inf:
         return lo + t / (1.0 - t)
     return hi - (1.0 - t) / t  # ( -inf, hi ]-type: mirror of the half-line map
+
+
+@lru_cache(maxsize=16)
+def _lobatto_nodes(n: int) -> np.ndarray:
+    """The `n` Chebyshev–Lobatto nodes on [0, 1], shared and read-only."""
+    j = np.arange(n)
+    t = (1.0 - np.cos(np.pi * j / (n - 1))) / 2.0
+    t.flags.writeable = False
+    return t
 
 
 def _derivative_samples(f: FnLike, xs: np.ndarray) -> np.ndarray:

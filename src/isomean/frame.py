@@ -4,11 +4,17 @@ A GeneratorMap is one strictly monotone map (one axis of a frame) with its
 verified monotonicity, computed image, and an inversion strategy.  A Frame
 is an ordered tuple of such maps; a 2-D frame (g, h) is what function means
 are built on: g transforms the independent axis, h the dependent axis.
+
+Verified maps and sampled value hulls are memoised in one bounded table
+(the last `_MEMO_SIZE` results), keyed on the expression object itself and
+the window, so repeated frames over the same maps are verified once.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -24,6 +30,36 @@ from .parse import parse
 
 CLOSED_FORM = "closed-form"
 BRACKETED_NUMERIC = "bracketed-numeric"
+
+# The memo of verified builds: key → (expression, result), oldest first.
+_MEMO_SIZE = 256
+_memo: OrderedDict = OrderedDict()
+_memo_lock = threading.Lock()
+
+
+def _memoised(build, expr, d: Interval, *extra):
+    """build(expr, d, *extra), computed once per expression object, window
+    and extra arguments among the last `_MEMO_SIZE` builds.
+
+    The key holds the expression's identity (a structurally equal tree is
+    another key), the window's ends, open flags and signs of zero (so
+    [-0.0, 1] and [0.0, 1] are two keys).  Each entry keeps its expression
+    alive, so an `id` cannot be reused while the entry exists.  A build
+    that raises is not stored and raises again on the next call.
+    """
+    key = (build, id(expr), d.lo, d.hi, d.lo_open, d.hi_open,
+           math.copysign(1.0, d.lo), math.copysign(1.0, d.hi)) + extra
+    with _memo_lock:
+        hit = _memo.get(key)
+        if hit is not None and hit[0] is expr:
+            _memo.move_to_end(key)
+            return hit[1]
+    value = build(expr, d, *extra)
+    with _memo_lock:
+        _memo[key] = (expr, value)
+        while len(_memo) > _MEMO_SIZE:
+            _memo.popitem(last=False)
+    return value
 
 
 @dataclass(frozen=True)
@@ -188,8 +224,16 @@ def _probe_inverse_expr(gm: "GeneratorMap", inv_expr: Expr) -> bool:
 
 
 def generator_map(source: Union[Expr, str], domain: Interval) -> GeneratorMap:
-    """Build a verified GeneratorMap from an expression (or its text)."""
+    """Build a verified GeneratorMap from an expression (or its text).
+
+    The same expression object on the same window gives the same map
+    object, verified once (see `_memoised`).
+    """
     expr = parse(source) if isinstance(source, str) else source
+    return _memoised(_build_map, expr, domain)
+
+
+def _build_map(expr: Expr, domain: Interval) -> GeneratorMap:
     if domain.degenerate:
         raise PreconditionError("a generator map needs a non-degenerate domain")
     mono = classify_monotonicity(expr, domain)
@@ -317,7 +361,17 @@ class BondedReport:
 
 
 def estimate_range_hull(f, fdomain: Interval, samples: int = 257) -> Interval:
-    """Closed hull [inf M, sup M] of f's values over fdomain, sampled."""
+    """Closed hull [inf M, sup M] of f's values over fdomain, sampled.
+
+    The hull of an `Expr` is memoised (see `_memoised`); a callable may
+    carry state, so its hull is sampled on every call.
+    """
+    if isinstance(f, Expr):
+        return _memoised(_range_hull, f, fdomain, samples)
+    return _range_hull(f, fdomain, samples)
+
+
+def _range_hull(f, fdomain: Interval, samples: int) -> Interval:
     if fdomain.degenerate:
         fn = E.as_scalar_fn(f)
         v = fn(fdomain.lo)
@@ -329,12 +383,14 @@ def estimate_range_hull(f, fdomain: Interval, samples: int = 257) -> Interval:
     vals = fvec(xs)
     good = vals[np.isfinite(vals)]
     extra = []
-    for side, is_open in (("lo", fdomain.lo_open), ("hi", fdomain.hi_open)):
-        x = fdomain.lo if side == "lo" else fdomain.hi
-        if not is_open and math.isfinite(x):
-            v = fvec(np.asarray([x]))[0]
-            if math.isfinite(v):
-                extra.append(float(v))
+    # The grid holds the closed ends of a bounded window exactly; on a
+    # half-line it only comes within 1e-6 of the closed finite end.
+    if not fdomain.bounded:
+        for x, is_open in ((fdomain.lo, fdomain.lo_open), (fdomain.hi, fdomain.hi_open)):
+            if not is_open:
+                v = fvec(np.asarray([x]))[0]
+                if math.isfinite(v):
+                    extra.append(float(v))
     values = []
     if good.size:
         values += [float(np.min(good)), float(np.max(good))]

@@ -259,17 +259,14 @@ def dvi_mean_riemann_oracle(problem: MeanProblem, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=128)
 def _identity_map(d: Interval) -> GeneratorMap:
     return generator_map(var(), d)
 
 
-@lru_cache(maxsize=None)
 def _log_map() -> GeneratorMap:
     return generator_map("ln(x)", Interval(0.0, math.inf, lo_open=True))
 
 
-@lru_cache(maxsize=None)
 def _reciprocal_map(positive: bool) -> GeneratorMap:
     if positive:
         return generator_map("1/x", Interval(0.0, math.inf, lo_open=True))

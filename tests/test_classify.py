@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from isomean.classify import classify_convexity, classify_monotonicity, sample_grid
+from isomean.classify import _lobatto_nodes, classify_convexity, classify_monotonicity, sample_grid
 from isomean.intervals import Interval
 from isomean.parse import parse
 
@@ -63,3 +65,55 @@ def test_sample_grid_stays_interior_on_open_sides():
     xs = sample_grid(Interval(0.0, 1.0, lo_open=True, hi_open=True), 9)
     assert xs[0] > 0.0 and xs[-1] < 1.0
     assert np.all(np.diff(xs) > 0)
+
+
+def _grid_by_the_formula(d, n):
+    """sample_grid as written before its nodes were cached."""
+    j = np.arange(n)
+    t = (1.0 - np.cos(np.pi * j / (n - 1))) / 2.0
+    eps = 1e-6
+    if d.bounded:
+        tlo = eps if d.lo_open else 0.0
+        thi = eps if d.hi_open else 0.0
+        t = tlo + t * (1.0 - tlo - thi)
+        xs = d.lo + t * (d.hi - d.lo)
+        if not d.lo_open:
+            xs[0] = d.lo
+        if not d.hi_open:
+            xs[-1] = d.hi
+        return xs
+    t = eps + t * (1.0 - 2 * eps)
+    if math.isinf(d.lo) and math.isinf(d.hi):
+        s = 2.0 * t - 1.0
+        return s / (1.0 - s * s)
+    if math.isinf(d.hi):
+        return d.lo + t / (1.0 - t)
+    return d.hi - (1.0 - t) / t
+
+
+GRID_WINDOWS = (
+    Interval(0.5512, 1.622),
+    Interval(0.0, 1.0, lo_open=True, hi_open=True),
+    Interval(-2.0, 3.0, hi_open=True),
+    Interval(1.0, math.inf),
+    Interval(-math.inf, -1.0, hi_open=True),
+    Interval(-math.inf, math.inf),
+)
+
+
+@pytest.mark.parametrize("n", (257, 33))
+@pytest.mark.parametrize("d", GRID_WINDOWS, ids=str)
+def test_sample_grid_from_cached_nodes_equals_the_formula(d, n):
+    got = sample_grid(d, n)
+    want = _grid_by_the_formula(d, n)
+    assert got.tobytes() == want.tobytes()
+    # every call returns a fresh array its caller may write
+    assert got.flags.writeable
+    assert not np.shares_memory(got, sample_grid(d, n))
+
+
+def test_cached_lobatto_nodes_are_read_only():
+    t = _lobatto_nodes(33)
+    assert _lobatto_nodes(33) is t
+    with pytest.raises(ValueError):
+        t[0] = 1.0

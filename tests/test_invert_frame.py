@@ -1,12 +1,13 @@
 """Generator maps: inversion strategies, framing, bondedness checks."""
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from isomean import compare
+from isomean import classify, compare, frame, funmean, nummean
 from isomean._errors import DomainError, NonMonotoneError, InversionError
 from isomean.expr import differentiate, evaluate
 from isomean.frame import (
@@ -322,3 +323,128 @@ def test_one_point_inversion_stays_lean():
         calls.clear()
         assert g.invert(x + math.exp(x)) == pytest.approx(x, abs=1e-12)
         assert len(calls) <= 26
+
+
+# -- the memo of verified builds --------------------------------------------
+
+
+def test_same_expression_and_window_give_the_same_map():
+    e = parse("x+exp(x)")
+    d = Interval(0.0, 2.0)
+    assert generator_map(e, d) is generator_map(e, d)
+    assert generator_map("x+exp(x)", Interval(0.0, 2.0)) is generator_map(e, d)
+    assert estimate_range_hull(e, d) is estimate_range_hull(e, d)
+    # the sample count is part of the hull's key
+    assert estimate_range_hull(e, d, 33) is not estimate_range_hull(e, d)
+
+
+def test_signed_zero_windows_are_separate_builds():
+    e = parse("x^3+x")
+    plus, minus = Interval(0.0, 1.0), Interval(-0.0, 1.0)
+    assert plus == minus
+    assert generator_map(e, plus) is not generator_map(e, minus)
+    assert math.copysign(1.0, generator_map(e, minus).domain.lo) == -1.0
+    assert estimate_range_hull(e, plus) is not estimate_range_hull(e, minus)
+
+
+def test_equal_but_distinct_trees_are_separate_builds():
+    e = parse("x^2+1")
+    twin = pickle.loads(pickle.dumps(e))
+    assert twin == e and twin is not e
+    d = Interval(0.5, 2.0)
+    assert generator_map(twin, d) is not generator_map(e, d)
+    assert generator_map(twin, d).expr is twin
+    assert estimate_range_hull(twin, d) is not estimate_range_hull(e, d)
+
+
+def test_a_failed_build_is_not_memoised(monkeypatch):
+    calls = []
+    original = frame.classify_monotonicity
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(frame, "classify_monotonicity", counting)
+    e, d = parse("x^2"), Interval(-1.0, 1.0)
+    for _ in range(3):
+        with pytest.raises(NonMonotoneError):
+            generator_map(e, d)
+    assert len(calls) == 3
+
+
+def test_callable_hulls_are_sampled_on_every_call():
+    calls = []
+
+    def f(xs):
+        calls.append(np.size(xs))
+        return np.sin(xs)
+
+    d = Interval(0.0, 3.0)
+    assert estimate_range_hull(f, d) == estimate_range_hull(f, d)
+    assert len(calls) == 2
+
+
+def test_the_memo_stays_bounded():
+    e = parse("2*x+1")
+    for k in range(10_000):
+        estimate_range_hull(e, Interval(0.0, 1.0 + k / 1024))
+    assert len(frame._memo) <= frame._MEMO_SIZE
+    # the most recent builds are still there
+    last = Interval(0.0, 1.0 + 9_999 / 1024)
+    assert estimate_range_hull(e, last) is estimate_range_hull(e, last)
+
+
+def test_a_tree_that_built_a_map_and_a_hull_still_pickles():
+    e = parse("x^2")
+    d = Interval(1.0, 2.0)
+    generator_map(e, d).inverse().value_many(np.array([1.5, 2.5]))
+    estimate_range_hull(e, d)
+    assert pickle.loads(pickle.dumps(e)) == e
+
+
+def test_the_hull_samples_the_ends_of_a_bounded_window_once():
+    calls = []
+
+    def counted(fn):
+        def f(xs):
+            calls.append(np.size(xs))
+            return fn(xs)
+        return f
+
+    hull = estimate_range_hull(counted(np.sin), Interval(0.0, 3.0))
+    assert calls == [257]
+    assert hull.lo == 0.0
+    # the grid only comes within 1e-6 of the closed end of a half-line
+    calls.clear()
+    hull = estimate_range_hull(counted(lambda xs: np.exp(-xs)), Interval(1.0, math.inf))
+    assert calls == [257, 1]
+    assert hull.hi == math.exp(-1.0)
+
+
+def test_rebuilding_a_scenario_verifies_no_map_again(monkeypatch):
+    # A lost memo shows here as classification work on the second build.
+    monkeypatch.setattr(frame, "_memo", type(frame._memo)())
+    counts = []
+    original = classify.classify_monotonicity
+
+    def counting(*args, **kwargs):
+        counts[-1] += 1
+        return original(*args, **kwargs)
+
+    for mod in (classify, frame, compare, nummean, funmean):
+        if getattr(mod, "classify_monotonicity", None) is original:
+            monkeypatch.setattr(mod, "classify_monotonicity", counting)
+    pos = Interval(0.0, math.inf, lo_open=True)
+    w = Interval(0.3, 0.7)
+    for _ in range(2):
+        counts.append(0)
+        s = compare.make_scenario(
+            "exp(x)", w, (("x^2", pos), ("y^3", pos)), (("x", Interval(0.0, 3.0)), ("ln(y)", pos))
+        )
+        counts.append(0)
+        assert compare.compare_function_means(s).relation == "GT"
+    first_build, first_compare, second_build, second_compare = counts
+    assert first_build > 0
+    assert second_build == 0
+    assert second_compare <= first_compare
