@@ -7,12 +7,14 @@ are built on: g transforms the independent axis, h the dependent axis.
 
 Verified maps and sampled value hulls are memoised in one bounded table
 (the last `_MEMO_SIZE` results), keyed on the expression object itself and
-the window, so repeated frames over the same maps are verified once.
+the window, so repeated frames over the same maps are verified once.  The
+identity map is not verified: its answer is known (:func:`identity_map`).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -22,19 +24,46 @@ import numpy as np
 
 from ._errors import DomainError, InversionError, NonMonotoneError, PreconditionError
 from . import expr as E
-from .classify import MonotonicityClass, classify_monotonicity, sample_grid
+from .classify import (
+    DEFAULT_SAMPLES,
+    STRICTLY_INCREASING,
+    MonotonicityClass,
+    classify_monotonicity,
+    sample_grid,
+)
 from .expr import Expr, as_vector_fn, compile_numpy, differentiate, evaluate
 from .intervals import Interval, hull
-from .invert import apply_steps, closed_form_steps, invert_monotone, within
+from .invert import apply_steps, closed_form_steps, invert_monotone, residual_ok_at, within
 from .parse import parse
 
 CLOSED_FORM = "closed-form"
 BRACKETED_NUMERIC = "bracketed-numeric"
 
-# The memo of verified builds: key → (expression, result), oldest first.
+# The memo of verified builds: key → (held objects, result), oldest first.
 _MEMO_SIZE = 256
 _memo: OrderedDict = OrderedDict()
 _memo_lock = threading.Lock()
+
+
+def recall(table: OrderedDict, size: int, key: tuple, held: tuple, build):
+    """build(), computed once per key among the last `size` entries of `table`.
+
+    The key holds the identities of the objects `held`.  Each entry keeps
+    them alive, so an `id` cannot be reused while the entry exists, and a
+    hit checks them with `is`.  A build that raises is not stored and
+    raises again on the next call.
+    """
+    with _memo_lock:
+        hit = table.get(key)
+        if hit is not None and all(map(operator.is_, hit[0], held)):
+            table.move_to_end(key)
+            return hit[1]
+    value = build()
+    with _memo_lock:
+        table[key] = (held, value)
+        while len(table) > size:
+            table.popitem(last=False)
+    return value
 
 
 def _memoised(build, expr, d: Interval, *extra):
@@ -43,23 +72,11 @@ def _memoised(build, expr, d: Interval, *extra):
 
     The key holds the expression's identity (a structurally equal tree is
     another key), the window's ends, open flags and signs of zero (so
-    [-0.0, 1] and [0.0, 1] are two keys).  Each entry keeps its expression
-    alive, so an `id` cannot be reused while the entry exists.  A build
-    that raises is not stored and raises again on the next call.
+    [-0.0, 1] and [0.0, 1] are two keys).
     """
     key = (build, id(expr), d.lo, d.hi, d.lo_open, d.hi_open,
            math.copysign(1.0, d.lo), math.copysign(1.0, d.hi)) + extra
-    with _memo_lock:
-        hit = _memo.get(key)
-        if hit is not None and hit[0] is expr:
-            _memo.move_to_end(key)
-            return hit[1]
-    value = build(expr, d, *extra)
-    with _memo_lock:
-        _memo[key] = (expr, value)
-        while len(_memo) > _MEMO_SIZE:
-            _memo.popitem(last=False)
-    return value
+    return recall(_memo, _MEMO_SIZE, key, (expr,), lambda: build(expr, d, *extra))
 
 
 @dataclass(frozen=True)
@@ -69,10 +86,11 @@ class GeneratorMap:
     The map is held as its two array views, `_fvec` for its values and
     `_dvec` for its derivative, which give NaN or ±inf, never an error,
     where the map is undefined.  Every other view calls them: `__call__` and
-    `derivative_at` are their one-point calls, and `invert` is the one-point
-    call of :func:`invert_monotone`, seeded with the closed-form candidate
-    when the map has inversion `_steps`.  The inverse map's views run the
-    same engine on arrays.
+    `derivative_at` are their one-point calls, and `invert` takes the
+    closed-form candidate of the inversion `_steps` when it passes the
+    engine's own test, and otherwise makes the one-point call of
+    :func:`invert_monotone`.  The inverse map's views run the engine on
+    arrays.
     """
 
     expr: Optional[Expr]
@@ -111,7 +129,13 @@ class GeneratorMap:
             raise InversionError(f"value {u} lies outside the image {self.image}")
         if self._forward is not None:
             return self._forward(u)
-        x = float(self._preimages(np.array([u]))[0])
+        us = np.array([u])
+        if self._steps is not None:
+            # The engine's candidate test, on one point in float arithmetic.
+            x = float(apply_steps(self._steps, us)[0])
+            if within(self.domain, x) and residual_ok_at(float(self._fvec(np.array([x]))[0]), u):
+                return x
+        x = float(invert_monotone(self._fvec, self.domain, us, self.increasing, self._dvec)[0])
         if math.isnan(x):
             raise InversionError(f"inverse at {u} did not meet tolerance inside {self.domain}")
         return x
@@ -227,10 +251,38 @@ def generator_map(source: Union[Expr, str], domain: Interval) -> GeneratorMap:
     """Build a verified GeneratorMap from an expression (or its text).
 
     The same expression object on the same window gives the same map
-    object, verified once (see `_memoised`).
+    object, verified once (see `_memoised`).  The map x is not verified at
+    all: see :func:`identity_map`.
     """
     expr = parse(source) if isinstance(source, str) else source
-    return _memoised(_build_map, expr, domain)
+    return _memoised(_build_identity if expr.op == "var" else _build_map, expr, domain)
+
+
+def identity_map(d: Interval) -> GeneratorMap:
+    """The map x on `d`, built by proof, with no sampling."""
+    return _memoised(_build_identity, E.var(), d)
+
+
+def _build_identity(x: Expr, d: Interval) -> GeneratorMap:
+    """The map `x` on `d` as the verified build would find it: strictly
+    increasing at the default resolution, no pole, inverted by the empty
+    step list.  Only the image is computed: an open end keeps the limit
+    the verified build takes toward it."""
+    if d.degenerate:
+        raise PreconditionError("a generator map needs a non-degenerate domain")
+    fvec = compile_numpy(x)
+    v_lo = _endpoint_value(fvec, d, "lo", d.lo)
+    v_hi = _endpoint_value(fvec, d, "hi", d.hi)
+    return GeneratorMap(
+        expr=x,
+        domain=d,
+        image=Interval(v_lo, v_hi, d.lo_open, d.hi_open),
+        monotonicity=MonotonicityClass(STRICTLY_INCREASING, resolution=DEFAULT_SAMPLES),
+        inverse_strategy=CLOSED_FORM,
+        _fvec=fvec,
+        _dvec=compile_numpy(differentiate(x)),
+        _steps=(),
+    )
 
 
 def _build_map(expr: Expr, domain: Interval) -> GeneratorMap:

@@ -42,6 +42,7 @@ from .frame import (
     check_bonded,
     estimate_range_hull,
     generator_map,
+    identity_map,
     make_frame,
 )
 from .intervals import Interval, hull as hull_of
@@ -259,10 +260,6 @@ def dvi_mean_riemann_oracle(problem: MeanProblem, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _identity_map(d: Interval) -> GeneratorMap:
-    return generator_map(var(), d)
-
-
 def _log_map() -> GeneratorMap:
     return generator_map("ln(x)", Interval(0.0, math.inf, lo_open=True))
 
@@ -273,7 +270,7 @@ def _reciprocal_map(positive: bool) -> GeneratorMap:
     return generator_map("1/x", Interval(-math.inf, 0.0, hi_open=True))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _power_map(p: float) -> GeneratorMap:
     return generator_map(powx(var(), const(p)), Interval(0.0, math.inf, lo_open=True))
 
@@ -333,7 +330,7 @@ def class_I_mean(f: FnLike, fdomain: Interval, h) -> MeanResult:
     else:
         h = parse(h) if isinstance(h, str) else h
         hm = generator_map(h, _value_axis_window(f, fdomain, probe=h))
-    fr = make_frame((_identity_map(_base_axis_window(fdomain)), hm))
+    fr = make_frame((identity_map(_base_axis_window(fdomain)), hm))
     return dvi_mean(MeanProblem(f, fdomain, fr))
 
 
@@ -341,7 +338,7 @@ def class_II_mean(f: FnLike, fdomain: Interval, g) -> MeanResult:
     """Mean with the identity y-map: a g-weighted average of values."""
     f = _coerce_f(f)
     gm = _as_map(g, fdomain)
-    hm = _identity_map(_value_axis_window(f, fdomain))
+    hm = identity_map(_value_axis_window(f, fdomain))
     return dvi_mean(MeanProblem(f, fdomain, make_frame((gm, hm))))
 
 
@@ -390,8 +387,8 @@ def plain_mean(f: FnLike, fdomain: Interval) -> MeanResult:
     f = _coerce_f(f)
     fr = make_frame(
         (
-            _identity_map(_base_axis_window(fdomain)),
-            _identity_map(_value_axis_window(f, fdomain)),
+            identity_map(_base_axis_window(fdomain)),
+            identity_map(_value_axis_window(f, fdomain)),
         )
     )
     return dvi_mean(MeanProblem(f, fdomain, fr))
@@ -446,7 +443,7 @@ def geometric_mean(f: FnLike, fdomain: Interval) -> MeanResult:
         )
     if m.hi <= 0.0:
         raise PreconditionError("geometric mean of an identically vanishing function")
-    fr = make_frame((_identity_map(_base_axis_window(fdomain)), _log_map()))
+    fr = make_frame((identity_map(_base_axis_window(fdomain)), _log_map()))
     return dvi_mean(MeanProblem(f, fdomain, fr))
 
 
@@ -460,7 +457,7 @@ def harmonic_mean(f: FnLike, fdomain: Interval) -> MeanResult:
         hm = _reciprocal_map(positive=False)
     else:
         raise PreconditionError(f"harmonic mean needs one-signed values; hull is {m}")
-    fr = make_frame((_identity_map(_base_axis_window(fdomain)), hm))
+    fr = make_frame((identity_map(_base_axis_window(fdomain)), hm))
     return dvi_mean(MeanProblem(f, fdomain, fr))
 
 
@@ -472,7 +469,7 @@ def power_integral_mean(f: FnLike, fdomain: Interval, p: float) -> MeanResult:
     m = estimate_range_hull(f, fdomain)
     if m.lo < 0.0:
         raise PreconditionError(f"power-integral mean needs non-negative values; hull is {m}")
-    fr = make_frame((_identity_map(_base_axis_window(fdomain)), _power_map(float(p))))
+    fr = make_frame((identity_map(_base_axis_window(fdomain)), _power_map(float(p))))
     return dvi_mean(MeanProblem(f, fdomain, fr))
 
 
@@ -488,7 +485,7 @@ def elastic_mean(f: FnLike, fdomain: Interval) -> MeanResult:
         fdomain = Interval(fdomain.lo, fdomain.hi, lo_open=True, hi_open=fdomain.hi_open)
     f = _coerce_f(f)
     gm = _log_map()
-    hm = _identity_map(_value_axis_window(f, fdomain))
+    hm = identity_map(_value_axis_window(f, fdomain))
     return dvi_mean(MeanProblem(f, fdomain, make_frame((gm, hm))))
 
 

@@ -24,8 +24,9 @@ from .expr import Expr
 from .intervals import Interval
 
 # Mixed abs/rel residual tolerance for an accepted inverse value.
-_RES_ABS = np.array(1e-12)  # 0-d arrays: cheaper than floats in small ufunc calls
-_RES_REL = np.array(1e-12)
+_RES = 1e-12
+_RES_ABS = np.array(_RES)  # 0-d arrays: cheaper than floats in small ufunc calls
+_RES_REL = np.array(_RES)
 
 
 def _tolerance(us: np.ndarray) -> np.ndarray:
@@ -35,6 +36,12 @@ def _tolerance(us: np.ndarray) -> np.ndarray:
 def residual_ok(values: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Where map values hit their targets `us` within the mixed 1e-12."""
     return np.abs(values - us) <= _tolerance(us)
+
+
+def residual_ok_at(value: float, u: float) -> bool:
+    """:func:`residual_ok` for one value and target, by the same float
+    operations."""
+    return abs(value - u) <= max(_RES, _RES * abs(u))
 
 
 # -- closed-form chain --------------------------------------------------------
@@ -147,9 +154,9 @@ def apply_steps(steps, u):
 
 # -- the numeric engine -------------------------------------------------------
 
-def within(d: Interval, xs: np.ndarray) -> np.ndarray:
-    """Where `xs` lie in `d`: finite points only, a closed finite end e
-    widened by 1e-9·(1 + |e|)."""
+def within(d: Interval, xs):
+    """Where `xs` (an array, or one float) lie in `d`: finite points only,
+    a closed finite end e widened by 1e-9·(1 + |e|)."""
     lo, hi = d.lo, d.hi
     above = xs > lo if d.lo_open or math.isinf(lo) else xs >= lo - 1e-9 * (1.0 + abs(lo))
     below = xs < hi if d.hi_open or math.isinf(hi) else xs <= hi + 1e-9 * (1.0 + abs(hi))

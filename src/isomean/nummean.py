@@ -23,6 +23,7 @@ silently picking one.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ from .classify import (
     classify_monotonicity,
 )
 from .expr import absx, differentiate, div, substitute
-from .frame import GeneratorMap, estimate_range_hull
+from .frame import GeneratorMap, estimate_range_hull, recall
 from .intervals import Interval
 from .verdict import EQ, GE, LE, UNDECIDED, Verdict
 
@@ -97,9 +98,19 @@ def iso_mean(xs, g: GeneratorMap) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Derived trees of the last `_DERIVED_SIZE` map pairs: key → (maps, result).
+_DERIVED_SIZE = 32
+_derived: OrderedDict = OrderedDict()
+
+
 def _signed_ratio_classifier(num: GeneratorMap, den: GeneratorMap, absolute: bool):
     """The ratio num'/den' (optionally |·|) as an Expr, or else as an
-    array callable."""
+    array callable; built once per pair of map objects (see `_derived`)."""
+    return recall(_derived, _DERIVED_SIZE, ("ratio", id(num), id(den), absolute), (num, den),
+                  lambda: _ratio(num, den, absolute))
+
+
+def _ratio(num: GeneratorMap, den: GeneratorMap, absolute: bool):
     if num.expr is not None and den.expr is not None:
         ratio = div(differentiate(num.expr), differentiate(den.expr))
         return absx(ratio) if absolute else ratio
@@ -113,7 +124,13 @@ def _signed_ratio_classifier(num: GeneratorMap, den: GeneratorMap, absolute: boo
 
 
 def _conjugate_fn(g: GeneratorMap, h: GeneratorMap):
-    """g∘h⁻¹ as an Expr when both sides have one, else as an array callable."""
+    """g∘h⁻¹ as an Expr when both sides have one, else as an array callable;
+    built once per pair of map objects (see `_derived`)."""
+    return recall(_derived, _DERIVED_SIZE, ("conjugate", id(g), id(h)), (g, h),
+                  lambda: _conjugate(g, h))
+
+
+def _conjugate(g: GeneratorMap, h: GeneratorMap):
     hinv = h.inverse()
     if g.expr is not None and hinv.expr is not None:
         return substitute(g.expr, hinv.expr)

@@ -10,6 +10,8 @@ import math
 import pytest
 
 import isomean.compare as compare_mod
+import isomean.expr as expr_mod
+from isomean import frame, nummean
 from isomean._errors import ComparisonContradiction, PreconditionError
 from isomean.compare import compare_function_means, first_mvt_mean, make_scenario
 from isomean.frame import generator_map
@@ -403,3 +405,43 @@ class TestWeightedAverage:
     def test_sign_changing_weight_is_rejected(self):
         with pytest.raises(PreconditionError, match="changes sign"):
             first_mvt_mean("x", "x-1", Interval(0.0, 2.0))
+
+
+# ---------------------------------------------------------------------------
+# derived trees are built once per map pair
+# ---------------------------------------------------------------------------
+
+
+def test_a_rebuilt_scenario_lowers_no_tree_again(monkeypatch):
+    # fresh memos, so the first round has ratio trees to build and lower
+    monkeypatch.setattr(frame, "_memo", type(frame._memo)())
+    monkeypatch.setattr(nummean, "_derived", type(nummean._derived)())
+    lowered = []
+    original = expr_mod._lower
+
+    def counting(root):
+        lowered[-1] += 1
+        return original(root)
+
+    monkeypatch.setattr(expr_mod, "_lower", counting)
+    w = Interval(0.3, 0.7)
+    for _ in range(2):
+        lowered.append(0)
+        s = make_scenario(
+            "exp(x)", w, (("x^2", POS), ("y^3", POS)), (("x", Interval(0.0, 3.0)), ("ln(y)", POS))
+        )
+        assert s.scenario == "GeneralIV"
+        assert compare_function_means(s).relation == "GT"
+    assert lowered[0] > 0
+    assert lowered[1] == 0
+
+
+def test_the_derived_tree_memo_stays_bounded():
+    w = Interval(1.0, 2.0)
+    right = (("x", Interval(0.5, 2.5)), ("y", Interval(0.5, 10.0)))
+    for k in range(40):
+        s = make_scenario("x^2", w, (("x", Interval(0.5, 2.5)), (f"y^{2 + k / 8}", POS)), right)
+        assert s.scenario == "ClassI"
+        compare_function_means(s)
+        assert len(nummean._derived) <= 32
+    assert len(nummean._derived) == nummean._DERIVED_SIZE == 32

@@ -345,3 +345,14 @@ def test_elastic_tangent_settles_in_fewer_than_eleven_windows(monkeypatch):
     assert r.method == LIMIT and r.detail["stage"] == "extrapolated"
     assert len(windows) < 11
     assert abs(r.value - 2.0 / math.pi) <= r.abs_error_estimate <= 1e-9
+
+
+def test_power_maps_stay_bounded_after_many_exponents():
+    d = Interval(1.0, 2.0)
+    for k in range(300):
+        p = 1.0 + k / 64
+        r = power_integral_mean("x", d, p)
+        assert 1.0 <= r.value <= 2.0
+    info = funmean._power_map.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize <= 128

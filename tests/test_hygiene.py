@@ -143,3 +143,51 @@ def test_every_name_the_tracer_wraps_resolves():
         if cls is not None:
             owner = getattr(owner, cls)
         assert callable(getattr(owner, attr, None)), f"{module}:{cls or ''}.{attr}"
+
+
+def unbounded_caches(source: str) -> list:
+    """Caches in `source` that never evict: a call ``lru_cache(maxsize=None)``
+    or ``lru_cache(None)``, and ``functools.cache`` read as an attribute or
+    imported by name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and "lru_cache" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            size = node.args[0] if node.args else next(
+                (k.value for k in node.keywords if k.arg == "maxsize"), None
+            )
+            if isinstance(size, ast.Constant) and size.value is None:
+                found.append((node.lineno, "lru_cache(maxsize=None)"))
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "cache"
+            and getattr(node.value, "id", None) == "functools"
+        ):
+            found.append((node.lineno, "functools.cache"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, "functools.cache") for a in node.names if a.name == "cache"]
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_cache_scan_finds_unbounded_caches():
+    src = (
+        "import functools\nfrom functools import lru_cache, cache\n"
+        "@lru_cache(maxsize=None)\ndef a(x):\n    return x\n"
+        "@functools.lru_cache(None)\ndef b(x):\n    return x\n"
+        "@functools.cache\ndef c(x):\n    return x\n"
+        "@lru_cache(maxsize=128)\ndef d(x):\n    return x\n"
+        "@lru_cache\ndef e(x):\n    return x\n"
+        "def f(cache):\n    return cache.cache\n"
+    )
+    assert unbounded_caches(src) == [
+        "functools.cache (line 2)",
+        "lru_cache(maxsize=None) (line 3)",
+        "lru_cache(maxsize=None) (line 6)",
+        "functools.cache (line 9)",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unbounded_cache(path):
+    assert unbounded_caches(path.read_text()) == []

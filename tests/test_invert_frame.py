@@ -8,8 +8,8 @@ import pytest
 import scipy.optimize
 
 from isomean import classify, compare, frame, funmean, nummean
-from isomean._errors import DomainError, NonMonotoneError, InversionError
-from isomean.expr import differentiate, evaluate
+from isomean._errors import DomainError, NonMonotoneError, InversionError, PreconditionError
+from isomean.expr import differentiate, evaluate, var
 from isomean.frame import (
     check_bonded,
     estimate_range_hull,
@@ -19,7 +19,7 @@ from isomean.frame import (
     make_frame,
 )
 from isomean.funmean import _log_map, class_I_mean
-from isomean.invert import _real_root, residual_ok
+from isomean.invert import _real_root, apply_steps, residual_ok, within
 from isomean.intervals import Interval
 from isomean.parse import parse
 
@@ -448,3 +448,104 @@ def test_rebuilding_a_scenario_verifies_no_map_again(monkeypatch):
     assert first_build > 0
     assert second_build == 0
     assert second_compare <= first_compare
+
+
+# -- the identity map by proof -------------------------------------------------
+
+IDENTITY_WINDOWS = (
+    Interval(0.0, 1.0),
+    Interval(-3.0, 2.5),
+    Interval(-5.0, -2.0),
+    Interval(0.0, 1.0, lo_open=True),
+    Interval(-1.0, 1.0, lo_open=True, hi_open=True),
+    Interval(1e-3, 1e3, hi_open=True),
+    Interval(0.0, math.inf, lo_open=True),
+    Interval(2.0, math.inf),
+    Interval(-math.inf, 0.0, hi_open=True),
+    Interval(-math.inf, -1.0),
+    Interval(-math.inf, math.inf),
+    Interval(-0.0, 1.0),
+    Interval(-1.0, -0.0),
+    Interval(-0.0, 1.0, lo_open=True),
+    Interval(-2.0, 0.0, hi_open=True),
+)
+
+
+def _same_float(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@pytest.mark.parametrize("d", IDENTITY_WINDOWS, ids=str)
+def test_the_identity_map_by_proof_equals_the_verified_build(d):
+    proved, verified = frame.identity_map(d), frame._build_map(var(), d)
+    assert proved == verified
+    assert proved.expr is verified.expr
+    for a, b in ((proved.domain, verified.domain), (proved.image, verified.image)):
+        assert (a.lo_open, a.hi_open) == (b.lo_open, b.hi_open)
+        assert _same_float(a.lo, b.lo) and _same_float(a.hi, b.hi)
+    assert proved.monotonicity == verified.monotonicity
+    assert proved.inverse_strategy == verified.inverse_strategy == "closed-form"
+    assert proved._steps == verified._steps == ()
+    xs = classify.sample_grid(d, 257)
+    np.testing.assert_array_equal(proved.value_many(xs), verified.value_many(xs))
+    np.testing.assert_array_equal(proved.derivative_many(xs), verified.derivative_many(xs))
+    # the text "x" reaches the same memoised proof
+    assert generator_map("x", d) is proved
+
+
+def test_the_identity_map_samples_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the identity map was classified")
+
+    monkeypatch.setattr(frame, "classify_monotonicity", refuse)
+    monkeypatch.setattr(frame, "sample_grid", refuse)
+    g = frame.identity_map(Interval(0.25, 0.75))
+    assert (g.image.lo, g.image.hi) == (0.25, 0.75)
+
+
+def test_the_identity_map_of_a_point_is_refused():
+    with pytest.raises(PreconditionError):
+        frame.identity_map(Interval(1.0, 1.0))
+    with pytest.raises(PreconditionError):
+        generator_map("x", Interval(-0.0, 0.0))
+
+
+def test_a_value_map_beside_the_identity_is_still_verified():
+    # the identity base map is proved; the 1/x value map still meets its pole
+    with pytest.raises(DomainError, match="pole or jump"):
+        class_I_mean("x", Interval(0.0, 1.0, lo_open=True), "1/x")
+
+
+# -- one-point closed-form inversion -------------------------------------------
+
+ONE_POINT_MAPS = (
+    ("ln(x)", Interval(1.0, 10.0), True),
+    ("exp(x)", Interval(-20.0, 2.0), True),
+    ("2*x+1", Interval(0.0, 2.0), False),
+    ("x^2.5", Interval(0.5, 5.0), False),
+    ("x^3", Interval(-2.0, 2.0), False),
+)
+
+
+@pytest.mark.parametrize("text, d, rejects", ONE_POINT_MAPS, ids=[m[0] for m in ONE_POINT_MAPS])
+def test_one_point_inversion_equals_the_array_engine_bit_for_bit(text, d, rejects):
+    g = generator_map(text, d)
+    assert g.inverse_strategy == "closed-form"
+    lo, hi = g.image.lo, g.image.hi
+    rng = np.random.default_rng(20231)
+    # most targets inside the image, the rest within the slack past its ends
+    inside = rng.uniform(lo, hi, 900)
+    slack = lambda u: max(1e-9, 1e-9 * abs(u))
+    past = np.concatenate([lo - rng.uniform(0.0, 1.0, 50) * slack(lo),
+                           hi + rng.uniform(0.0, 1.0, 50) * slack(hi)])
+    us = np.concatenate([inside, past, [lo, hi]])[:1000]
+    c = apply_steps(g._steps, us)
+    rejected = ~(within(g.domain, c) & residual_ok(g._fvec(c), us))
+    assert bool(rejected.any()) == rejects
+    for u in us.tolist():
+        want = float(g._preimages(np.array([u]))[0])
+        if math.isnan(want):
+            with pytest.raises(InversionError):
+                g.invert(u)
+        else:
+            assert _same_float(g.invert(u), want), u

@@ -1,10 +1,15 @@
 """Quasi-arithmetic means of number tuples and their comparison verdicts."""
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
+import isomean.expr as expr_mod
+from isomean import nummean
 from isomean._errors import WeightError
+from isomean.classify import classify_convexity
 from isomean.frame import generator_map
 from isomean.intervals import Interval
 from isomean.nummean import (
@@ -161,3 +166,83 @@ def test_mean_is_permutation_invariant(xs):
 @given(st.floats(0.2, 30.0))
 def test_mean_of_constant_tuple_is_the_constant(x):
     assert iso_mean([x, x, x], log_map()) == pytest.approx(x, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# derived trees are built once per map pair
+# ---------------------------------------------------------------------------
+
+
+def test_comparing_the_same_maps_again_lowers_no_tree(monkeypatch):
+    monkeypatch.setattr(nummean, "_derived", type(nummean._derived)())
+    g, h = power_map(3), log_map()
+    lowered = []
+    original = expr_mod._lower
+
+    def counting(root):
+        lowered[-1] += 1
+        return original(root)
+
+    monkeypatch.setattr(expr_mod, "_lower", counting)
+    d = Interval(0.1, 10.0)
+    for _ in range(2):
+        lowered.append(0)
+        assert compare_number_means(g, h, d).relation == "GE"
+    assert lowered[0] > 0
+    assert lowered[1] == 0
+
+
+def test_the_conjugate_tree_is_built_once_per_pair(monkeypatch):
+    monkeypatch.setattr(nummean, "_derived", type(nummean._derived)())
+    g, h = power_map(3), log_map()
+    phi = nummean._conjugate_fn(g, h)
+    assert nummean._conjugate_fn(g, h) is phi
+    assert nummean._conjugate_fn(h, g) is not phi
+    # a ratio and its absolute value are two entries
+    assert nummean._signed_ratio_classifier(g, h, True) is not nummean._signed_ratio_classifier(g, h, False)
+    w = Interval(-1.0, 2.0)
+    assert classify_convexity(phi, w).kind == "StrictlyConvex"
+    lowered, original = [], expr_mod._lower
+    monkeypatch.setattr(expr_mod, "_lower", lambda root: lowered.append(root) or original(root))
+    assert classify_convexity(nummean._conjugate_fn(g, h), w).kind == "StrictlyConvex"
+    assert lowered == []
+
+
+def test_the_derived_tree_memo_stays_bounded():
+    h = log_map()
+    d = Interval(0.1, 10.0)
+    for k in range(40):
+        compare_number_means(power_map(1 + k / 8), h, d)
+        assert len(nummean._derived) <= 32
+    assert len(nummean._derived) == nummean._DERIVED_SIZE == 32
+
+
+def test_the_derived_tree_memo_holds_its_bound_under_threads():
+    maps = [power_map(1 + k / 8) for k in range(24)]
+    h = log_map()
+    errors = []
+
+    def work(offset):
+        try:
+            for k in range(200):
+                g = maps[(k + offset) % len(maps)]
+                nummean._signed_ratio_classifier(g, h, k % 2 == 0)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(7 * i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(nummean._derived) <= 32
+    # every entry still maps its key to a tree of its own two maps
+    for key, (held, tree) in list(nummean._derived.items()):
+        assert key[1:3] == (id(held[0]), id(held[1]))
