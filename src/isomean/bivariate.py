@@ -2,8 +2,8 @@
 
 Contents:
 
-* the quasi-Stolarsky family ``Q_{p,q}(a, b)`` with explicit closed forms
-  on every degenerate parameter line,
+* the quasi-Stolarsky family ``Q_{p,q}(a, b)``, one formula that stays
+  accurate on and near its degenerate parameter lines,
 * bivariate means generated by a map pair (the identity-function case of
   the general construction in :mod:`isomean.funmean`),
 * Cauchy mean values ``(f'/g')⁻¹((f(b)−f(a))/(g(b)−g(a)))`` and the
@@ -18,6 +18,7 @@ Contents:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -46,30 +47,16 @@ from .frame import GeneratorMap, generator_map, make_frame
 from .funmean import MeanProblem, _as_map, _value_axis_window, class_V_mean, dvi_mean
 from .intervals import Interval
 from .parse import parse
-from .quadrature import integrate_many
+from .quadrature import integrate, integrate_many
 from .verdict import EQ, GE, GT, LE, LT, UNDECIDED, Verdict
-
-_PARAM_TOL = 1e-9
-
 
 # ---------------------------------------------------------------------------
 # quasi-Stolarsky means
 # ---------------------------------------------------------------------------
 
-
-def stolarsky_branch(p: float, q: float) -> str:
-    """Which closed form evaluates ``Q_{p,q}``; thresholds at 1e-9."""
-    if abs(p) < _PARAM_TOL and abs(q) < _PARAM_TOL:
-        return "both-zero"
-    if abs(p - q) < _PARAM_TOL:
-        return "equal"
-    if abs(p + q) < _PARAM_TOL:
-        return "opposite"
-    if abs(p) < _PARAM_TOL:
-        return "first-zero"
-    if abs(q) < _PARAM_TOL:
-        return "second-zero"
-    return "general"
+#: m(x)/x = Σ B_{2k} x^{2k−2}/(2k)!, k = 1..7, highest power first, for |x| < 0.5,
+#: where coth(x/2)/2 − 1/x cancels to 2.5ε/|x|; the next term is below 1e-17.
+_SERIES = (1 / 74724249600, -691 / 1307674368000, 1 / 47900160, -1 / 1209600, 1 / 30240, -1 / 720, 1 / 12)
 
 
 @dataclass(frozen=True)
@@ -90,36 +77,62 @@ class QuasiStolarskyParams:
         if self.a <= 0.0 or self.b <= 0.0:
             raise PreconditionError("arguments must be positive")
 
-    @property
-    def branch(self) -> str:
-        return stolarsky_branch(self.p, self.q)
-
 
 def quasi_stolarsky(params: QuasiStolarskyParams) -> float:
-    """The two-parameter mean ``(p(b^{p+q}−a^{p+q}) / ((p+q)(b^p−a^p)))^{1/q}``.
+    """The two-parameter mean ``(p(b^{p+q}−a^{p+q}) / ((p+q)(b^p−a^p)))^{1/q}``,
+    Stolarsky's ``E(p+q, p)``, kept in [min(a, b), max(a, b)].
 
-    Parameter lines where the generic form degenerates are routed to their
-    limits: ``p = q = 0`` gives the geometric mean, ``p = q ≠ 0`` the power
-    mean of order p, ``p + q = 0`` and ``p = 0`` logarithmic-type means,
-    and ``q = 0`` an identric-type mean.
+    It is that definition where its rounding is provably small, and
+    elsewhere the Leach–Sholander integral ``ln Q = ln a + L·∫₀¹ ℓ((p+q·t)·L) dt``
+    with ``L = ln(b/a)`` and ``ℓ(x) = 1 + 1/expm1(x) − 1/x``, which is smooth
+    across the lines p = 0, q = 0 and p + q = 0 and gives their limits on them.
     """
     p, q, a, b = params.p, params.q, params.a, params.b
     if a == b:
         return a
-    branch = params.branch
-    if branch == "both-zero":
-        return math.sqrt(a * b)
-    if branch == "equal":
-        return ((a**p + b**p) / 2.0) ** (1.0 / p)
-    if branch == "opposite":
-        return ((b**p - a**p) / (p * math.log(b / a))) ** (1.0 / p)
-    if branch == "first-zero":
-        return ((b**q - a**q) / (q * math.log(b / a))) ** (1.0 / q)
-    if branch == "second-zero":
-        bp, ap = b**p, a**p
-        return math.exp((bp * math.log(b) - ap * math.log(a)) / (bp - ap) - 1.0 / p)
-    core = p * (b ** (p + q) - a ** (p + q)) / ((p + q) * (b**p - a**p))
-    return core ** (1.0 / q)
+    la, lb = math.log(a), math.log(b)
+    L = lb - la
+    value = _by_definition(p, q, a, b, L, max(abs(la), abs(lb)))
+    if value is None:
+        # ℓ = 1/2 + m centres ln Q at (ln a + ln b)/2: no cancellation on wide
+        # windows.  t runs over [0, 1] as (p+q) − p is not q; x past the float
+        # range is ±inf, where m = ±1/2.  1e-15 is 10× the K−G rounding noise.
+        with np.errstate(over="ignore"):
+            integral, _ = integrate(lambda t: _centred_weight((p + q * t) * L), 0.0, 1.0, 1e-15, 1e-15)
+        value = math.exp(0.5 * (la + lb) + L * integral)
+    return min(max(value, min(a, b)), max(a, b))
+
+
+def _by_definition(p: float, q: float, a: float, b: float, L: float, lmax: float) -> Optional[float]:
+    """``Q_{p,q}`` from its definition, or None where that may be off by more than 64ε.
+
+    To first order the error is ε·(1 + (coth(|(p+q)L|/2) + coth(|pL|/2) + 4)/|q|):
+    b^e − a^e carries ε·coth(|eL|/2) and the power 1/q divides by |q|.  The
+    rounding δ of r = p + q adds |δ|·max(|ln a|, |ln b|)/|q|.  Every power,
+    the core ``Q^q`` included, must also be finite and normal.
+    """
+    r = p + q
+    tr, tp = math.tanh(0.5 * abs(r * L)), math.tanh(0.5 * abs(p * L))
+    if q == 0.0 or tr == 0.0 or tp == 0.0 or max(abs(r), abs(p)) * lmax > 708.0:
+        return None
+    ulps = 1.0 + (1.0 / tr + 1.0 / tp + 4.0) / abs(q)
+    ulps += abs(math.fsum((p, q, -r))) * lmax / sys.float_info.epsilon / abs(q)
+    if ulps > 64.0:
+        return None
+    core = p * (b**r - a**r) / (r * (b**p - a**p))
+    return core ** (1.0 / q) if sys.float_info.min <= core < math.inf else None
+
+
+def _centred_weight(x: np.ndarray) -> np.ndarray:
+    """m(x) = ℓ(x) − 1/2 = coth(x/2)/2 − 1/x: odd, in (−1/2, 1/2), m(0) = 0."""
+    small = np.abs(x) < 0.5
+    xd, xs = np.where(small, 1.0, x), x[small]
+    x2, series = xs * xs, _SERIES[0]
+    for c in _SERIES[1:]:
+        series = series * x2 + c
+    m = 0.5 / np.tanh(0.5 * xd) - 1.0 / xd
+    m[small] = xs * series
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ Subcommands
     same function; without it, the quasi-arithmetic number means generated
     by ``--g`` and ``--h`` over the window.
 ``stolarsky``
-    Evaluate the two-parameter power-map bivariate mean, reporting which
-    closed-form branch applied.
+    Evaluate the two-parameter power-map bivariate mean ``Q_{p,q}(a, b)``,
+    finite on and near its degenerate parameter lines.
 ``cauchy``
     Evaluate a Cauchy mean value, with an invertibility report for the
     derivative ratio.
@@ -305,16 +305,8 @@ def cmd_stolarsky(spec: RunSpec) -> int:
     if spec.a is None or spec.b is None:
         raise _UsageError("--a and --b are required")
     params = QuasiStolarskyParams(spec.params["p"], spec.params["q"], spec.a, spec.b)
-    value = quasi_stolarsky(params)
-    record = {
-        "p": params.p,
-        "q": params.q,
-        "a": params.a,
-        "b": params.b,
-        "branch": params.branch,
-        "value": value,
-    }
-    _emit_record(spec, record, ["p", "q", "a", "b", "branch", "value"])
+    record = {"p": params.p, "q": params.q, "a": params.a, "b": params.b, "value": quasi_stolarsky(params)}
+    _emit_record(spec, record, ["p", "q", "a", "b", "value"])
     return 0
 
 
@@ -411,7 +403,7 @@ def cmd_sweep(spec: RunSpec) -> int:
                 raise _UsageError("sigma_ge needs r and p, each swept or fixed (--r/--p)")
             rows.append({"r": r, "p": p, "sigma_ge": sigma_GE(r, p)})
     elif spec.target == "stolarsky":
-        header = ["p", "q", "a", "b", "branch", "value"]
+        header = ["p", "q", "a", "b", "value"]
         for pt in _grid(spec.sweeps):
             pq = pt.get("pq")
             p = pq if pq is not None else pt.get("p", spec.params.get("p"))
@@ -420,11 +412,8 @@ def cmd_sweep(spec: RunSpec) -> int:
             b = pt.get("b", spec.b)
             if None in (p, q, a, b):
                 raise _UsageError("stolarsky needs p, q, a, b, each swept or fixed")
-            params = QuasiStolarskyParams(p, q, a, b)
-            rows.append(
-                {"p": p, "q": q, "a": a, "b": b, "branch": params.branch,
-                 "value": quasi_stolarsky(params)}
-            )
+            value = quasi_stolarsky(QuasiStolarskyParams(p, q, a, b))
+            rows.append({"p": p, "q": q, "a": a, "b": b, "value": value})
     else:
         header = ["class", "f", "a", "b", "value", "err", "method"]
         if spec.mean_class is None:

@@ -34,7 +34,8 @@ from .compare import compare_function_means, make_scenario
 from .expr import ScaleShift, add, as_scalar_fn, const, differentiate, mul
 from .expr import exp as expr_exp
 from .expr import powx, sub, v_scaleshift, var
-from .frame import GeneratorMap, estimate_range_hull, generator_map, make_frame
+from .frame import estimate_range_hull, generator_map, make_frame
+from .funmean import _log_map, _power_map
 from .funmean import (
     class_I_mean,
     class_II_mean,
@@ -160,34 +161,25 @@ def _group_elastic() -> list[CheckResult]:
 _POSITIVE = Interval(0.0, math.inf, lo_open=True)
 
 
-def _power_or_log_map(p: float) -> GeneratorMap:
-    if p == 0.0:
-        return generator_map("ln(x)", _POSITIVE)
-    return generator_map(powx(var(), const(float(p))), _POSITIVE)
-
-
 def _stolarsky_rel(p: float, q: float, a: float, b: float) -> float:
     value = quasi_stolarsky(QuasiStolarskyParams(p, q, a, b))
-    if a == b:
-        other = a
-    else:
-        other = classV_bivariate(_power_or_log_map(p), _power_or_log_map(q), a, b)
-    return abs(value - other) / max(1.0, abs(value))
+    g, h = (_log_map() if e == 0.0 else _power_map(e) for e in (p, q))
+    return abs(value - classV_bivariate(g, h, a, b)) / max(1.0, abs(value))
 
 
 def _group_stolarsky() -> list[CheckResult]:
     g = "stolarsky"
     out = []
     windows = [(1.0, 2.0), (0.5, 3.0), (2.0, 5.0), (0.25, 0.75)]
-    # one check per closed-form row of the branch table
+    # one check per degenerate parameter line and per elementary row
     rows = [
-        ("branch-equal-powers", [(1.5, 1.5), (-2.0, -2.0)]),
-        ("branch-both-zero", [(0.0, 0.0)]),
-        ("branch-opposite-powers", [(2.0, -2.0), (-0.5, 0.5)]),
-        ("branch-first-zero", [(0.0, 3.0), (0.0, -1.0)]),
-        ("branch-second-zero", [(2.0, 0.0), (-1.5, 0.0)]),
-        ("branch-two-one", [(2.0, 1.0)]),
-        ("branch-minus-one-three", [(-1.0, 3.0)]),
+        ("equal-powers", [(1.5, 1.5), (-2.0, -2.0)]),
+        ("both-zero", [(0.0, 0.0)]),
+        ("opposite-powers", [(2.0, -2.0), (-0.5, 0.5)]),
+        ("first-zero", [(0.0, 3.0), (0.0, -1.0)]),
+        ("second-zero", [(2.0, 0.0), (-1.5, 0.0)]),
+        ("two-one", [(2.0, 1.0)]),
+        ("minus-one-three", [(-1.0, 3.0)]),
     ]
     for name, pqs in rows:
         worst = max(_stolarsky_rel(p, q, a, b) for p, q in pqs for a, b in windows)
@@ -210,6 +202,13 @@ def _group_stolarsky() -> list[CheckResult]:
             worst, worst_at = r, f"p={p}, q={q}, a={a}, b={b}"
     out.append(_bound("grid-vs-quadrature", g, worst, 1e-9, f"{len(grid)} points; worst at {worst_at}"))
     out.append(_residual("two-one-exact", g, quasi_stolarsky(QuasiStolarskyParams(2.0, 1.0, 1.0, 2.0)), 14.0 / 9.0, 0.0))
+    # Near the lines, ln Q = ln a + L/2 + (p + q/2)·L²/12 + O((|pL| + |qL|)³).
+    a, b = 1.5, 7.0
+    L = math.log(b / a)
+    pqs = [(3e-9, 4.5e-9), (1e-9, 0.0), (0.0, 2e-9), (-2e-9, 2e-9), (2e-9, 2e-9)]
+    want = [math.exp(math.log(a) + L / 2 + (p + q / 2) * L * L / 12) for p, q in pqs]
+    worst = max(abs(quasi_stolarsky(QuasiStolarskyParams(p, q, a, b)) / w - 1.0) for (p, q), w in zip(pqs, want))
+    out.append(_bound("near-lines", g, worst, 1e-14, "five pairs within 5e-9 of p = 0, q = 0, p = q, p + q = 0"))
     return out
 
 

@@ -2,7 +2,9 @@
 (Cauchy) construction, conversions between the two views, and the
 geometric-vs-elastic gap machinery."""
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -25,7 +27,6 @@ from isomean.bivariate import (
     s_function,
     s_second_root,
     sigma_GE,
-    stolarsky_branch,
 )
 from isomean.frame import GeneratorMap, generator_map
 from isomean.intervals import Interval
@@ -35,28 +36,6 @@ A, B = 1.3, 2.6
 
 def Q(p, q, a=A, b=B):
     return quasi_stolarsky(QuasiStolarskyParams(p, q, a, b))
-
-
-# ---------------------------------------------------------------------------
-# branch dispatch
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "p,q,label",
-    [
-        (0.0, 0.0, "both-zero"),
-        (2.0, 2.0, "equal"),
-        (-1.5, -1.5, "equal"),
-        (3.0, -3.0, "opposite"),
-        (0.0, 2.0, "first-zero"),
-        (2.0, 0.0, "second-zero"),
-        (2.0, 1.0, "general"),
-        (-1.0, 3.0, "general"),
-    ],
-)
-def test_branch_labels(p, q, label):
-    assert stolarsky_branch(p, q) == label
 
 
 def test_parameter_validation():
@@ -143,6 +122,75 @@ def test_grid_against_independent_quadrature():
                 continue
             got = Q(p, q)
             assert got == pytest.approx(reference(p, q, A, B), rel=1e-9), (p, q)
+
+
+# ---------------------------------------------------------------------------
+# 60-digit oracle on and near the parameter lines
+# ---------------------------------------------------------------------------
+
+
+def _oracle(p, q, a, b):
+    """Q_{p,q}(a, b) at 60 digits: the definition off the lines, their limits on them."""
+    with mpmath.workdps(60):
+        p, q, a, b = (mpmath.mpf(v) for v in (p, q, a, b))
+        la, lb = mpmath.log(a), mpmath.log(b)
+
+        def d(e):  # (b^e − a^e)/e, and its limit ln(b/a) at e = 0
+            return (mpmath.exp(e * lb) - mpmath.exp(e * la)) / e if e else lb - la
+
+        if q:
+            return mpmath.exp(mpmath.log(d(p + q) / d(p)) / q)
+        if p:  # q = 0: ln Q is the derivative of ln d(e) at e = p
+            bp, ap = mpmath.exp(p * lb), mpmath.exp(p * la)
+            return mpmath.exp((bp * lb - ap * la) / (bp - ap) - 1 / p)
+        return mpmath.exp((la + lb) / 2)
+
+
+def _oracle_corpus():
+    rnd = random.Random(1)
+    pairs = [
+        (rnd.uniform(-5, 5) * 10.0 ** rnd.randint(-10, 0), rnd.uniform(-5, 5) * 10.0 ** rnd.randint(-10, 0))
+        for _ in range(300)
+    ]
+    # within 1e-12, 1e-9 and 1e-6 of p = 0, q = 0, p = q and p + q = 0, and on them
+    for p0, q0 in [(0.7, 1.3), (2.0, -1.5), (-3.0, 0.5)]:
+        for d in (1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 0.0):
+            pairs += [(d, q0), (p0, d), (p0, p0 + d), (p0, -p0 + d)]
+    pairs += [(0.0, 0.0), (1e-9, 0.0), (0.0, 2e-9), (3e-9, 4.5e-9), (1e-12, -1e-12)]
+    # large exponents; the last pair rounds p + q by 2.4e-14, which ln Q feels divided by q
+    pairs += [
+        (400.0, 5.0), (-400.0, 5.0), (5.0, 400.0), (60.0, -120.0), (150.0, 150.0),
+        (1e4, 1.0), (1.0, 1e4), (1e6, -1e6), (268.69266875823155, -0.11691476123846625),
+    ]
+    return pairs
+
+
+def test_quasi_stolarsky_against_the_60_digit_oracle():
+    cases = [(p, q, a, b) for p, q in _oracle_corpus() for a, b in [(1.5, 7.0), (0.25, 0.75), (7.0, 1.5)]]
+    # wide ratios
+    for p, q in [(1.0, 2.0), (-1.0, 3.0), (0.0, 0.5), (2.0, 0.0), (1.5, -1.5), (3e-9, 4.5e-9)]:
+        cases += [(p, q, 1e-3, 1e3), (p, q, 1e100, 1e-100)]
+    bad = []
+    for p, q, a, b in cases:
+        got = Q(p, q, a, b)
+        rel = float(abs(got / _oracle(p, q, a, b) - 1))
+        if not (rel <= 1e-13 and min(a, b) <= got <= max(a, b)):
+            bad.append((p, q, a, b, got, rel))
+    assert not bad, f"{len(bad)} of {len(cases)} off; first {bad[:3]}"
+
+
+@pytest.mark.parametrize(
+    "p,q,on_line", [(7.17, -5.5e-318, (7.17, 0.0)), (1e-310, 1.0, (0.0, 1.0)), (-2.5e-320, 0.0, (0.0, 0.0))]
+)
+def test_subnormal_exponents_give_the_value_on_their_line(p, q, on_line):
+    assert Q(p, q, 1.5, 7.0) == pytest.approx(Q(*on_line, 1.5, 7.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("p,q,a,b", [(400.0, 5.0, 1.5, 7.0), (1.0, 2.0, 1e-300, 1e300)])
+def test_powers_beyond_the_float_range(p, q, a, b):
+    got = Q(p, q, a, b)
+    assert a < got < b
+    assert got == pytest.approx(float(_oracle(p, q, a, b)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

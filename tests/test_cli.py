@@ -7,6 +7,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -158,9 +161,32 @@ def test_stolarsky_csv_round_trip(run):
     )
     assert rc == 0
     rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["p", "q", "a", "b", "branch", "value"]
-    assert rows[1][4] == "general"
-    assert float(rows[1][5]) == 14.0 / 9.0
+    assert rows[0] == ["p", "q", "a", "b", "value"]
+    assert float(rows[1][4]) == 14.0 / 9.0
+
+
+@pytest.mark.parametrize(
+    "p,q,a,b,want",
+    [
+        ("3e-9", "4.5e-9", "1.5", "7", 3.24037035256800089),
+        ("400", "5", "1.5", "7", None),
+        ("1", "2", "1e-300", "1e300", None),
+    ],
+    ids=["near-the-lines", "powers-overflow", "wide-window"],
+)
+def test_stolarsky_from_a_fresh_interpreter(p, q, a, b, want):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-m", "isomean", "stolarsky", "--p", p, "--q", q, "--a", a, "--b", b,
+         "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0
+    assert "Traceback" not in out.stderr
+    value = json.loads(out.stdout)["value"]
+    assert float(a) < value < float(b)
+    if want is not None:
+        assert value == pytest.approx(want, rel=1e-12)
 
 
 def test_cauchy_report_fields(run):
@@ -189,11 +215,11 @@ def test_sweep_equal_power_diagonal(run):
     )
     assert rc == 0
     rows = list(csv.reader(io.StringIO(out)))
-    values = [float(r[5]) for r in rows[1:]]
+    assert rows[0] == ["p", "q", "a", "b", "value"]
+    values = [float(r[4]) for r in rows[1:]]
     assert values[0] == pytest.approx(1.5, rel=1e-12)
     assert values[1] == pytest.approx(math.sqrt(2.5), rel=1e-12)
     assert values[2] == pytest.approx(4.5 ** (1 / 3), rel=1e-12)
-    assert all(r[4] == "equal" for r in rows[1:])
 
 
 def test_sweep_gap_sign_change(run):
@@ -259,7 +285,7 @@ def test_empty_sweep_prints_only_the_header(run):
         "--a", "1", "--b", "2", "--format", "csv",
     )
     assert rc == 0
-    assert out == "p,q,a,b,branch,value\n"
+    assert out == "p,q,a,b,value\n"
 
 
 # ---------------------------------------------------------------------------
