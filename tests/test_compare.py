@@ -348,6 +348,208 @@ def test_wrong_equality_verdict_also_trips(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# pinned justifications and evidence keys, one case per rule outcome
+# ---------------------------------------------------------------------------
+
+_WIDE = Interval(0.05, 1.55)
+_ID_BASE = ("x", Interval(0.5, 2.5))
+_ID_VALUE = ("y", Interval(0.5, 7.0))
+
+# (f, window, left frame, right frame) → (scenario, relation, justification,
+# evidence keys besides "numeric").  The first eight are the frames of
+# TestDetection.
+_PINNED = {
+    "class-I": (
+        ("x^2", (1.0, 2.0), (_ID_BASE, ("y^2", Interval(0.5, 7.0))), (_ID_BASE, _ID_VALUE)),
+        ("ClassI", "GE", "value-map-ratio", ["value_ratio_monotonicity"]),
+    ),
+    "class-II": (
+        ("x^2", (1.0, 2.0), (("x^2", Interval(0.5, 2.5)), _ID_VALUE), (_ID_BASE, _ID_VALUE)),
+        ("ClassII", "GT", "base-map-ratio", ["base_ratio_monotonicity", "f_monotonicity"]),
+    ),
+    "class-III-pair": (
+        ("x", (0.5, 2.0), (("x^3", POS), ("y^3", POS)), (("x^2", POS), ("y^2", POS))),
+        ("ClassIII-pair", "GT", "paired-map-ratio",
+         ["window_ratio_monotonicity", "hull_ratio_monotonicity", "f_monotonicity"]),
+    ),
+    "exchanged": (
+        ("pi/2-x", (0.3, 1.2), (("cos(x)", _WIDE), ("sin(y)", _WIDE)),
+         (("sin(x)", _WIDE), ("cos(y)", _WIDE))),
+        ("ExchangedDMs", "LT", "exchanged-map-ratio",
+         ["window_ratio_monotonicity", "hull_ratio_monotonicity", "f_monotonicity"]),
+    ),
+    "same-base": (
+        ("exp(x)", (0.5, 1.5), (("x^2", POS), ("y^2", POS)),
+         (("x^2", POS), ("y", Interval(0.0, 9.0)))),
+        ("SameIVDM", "GE", "value-map-ratio", ["value_ratio_monotonicity"]),
+    ),
+    "same-value": (
+        ("exp(x)", (0.5, 1.5), (("x^2", POS), ("y^2", POS)),
+         (("x", Interval(0.0, 3.0)), ("y^2", POS))),
+        ("SamePVDM", "GT", "base-map-ratio", ["base_ratio_monotonicity", "f_monotonicity"]),
+    ),
+    "class-V": (
+        ("x", (1.0, 2.0), (("ln(x)", POS), ("y", Interval(0.0, 4.0))), (("x^2", POS), ("y^3", POS))),
+        ("ClassV", "LT", "dual-ratio case 2",
+         ["base_ratio_monotonicity", "value_ratio_monotonicity", "f_monotonicity"]),
+    ),
+    "general": (
+        ("exp(x)", (0.5, 1.5), (("x^2", POS), ("ln(y)", POS)),
+         (("x", Interval(0.0, 3.0)), ("y", POS))),
+        ("GeneralIV", "Undecided", "no-criterion-applied",
+         ["base_ratio_monotonicity", "value_ratio_monotonicity", "f_monotonicity"]),
+    ),
+    "class-II-decreasing-f": (
+        ("5-x^2", (1.0, 2.0), (("x^2", Interval(0.5, 2.5)), _ID_VALUE), (_ID_BASE, _ID_VALUE)),
+        ("ClassII", "LT", "base-map-ratio", ["base_ratio_monotonicity", "f_monotonicity"]),
+    ),
+    "same-value-non-monotone-f": (
+        ("x*(2-x)", (0.5, 1.5), (("x^2", POS), ("y^2", POS)),
+         (("x", Interval(0.0, 3.0)), ("y^2", POS))),
+        ("SamePVDM", "Undecided", "no-criterion-applied",
+         ["base_ratio_monotonicity", "f_monotonicity"]),
+    ),
+    "same-base-rescaled": (
+        ("exp(x)", (0.5, 1.5), (("x^2", POS), ("ln(y)", POS)),
+         (("2*x^2", POS), ("ln(y)+1", POS))),
+        ("SameIVDM", "EQ", "value-map-ratio", ["value_ratio_monotonicity"]),
+    ),
+    "class-III-pair-rescaled": (
+        ("x", (0.5, 2.0), (("x^2", POS), ("y^2", POS)), (("2*x^2+1", POS), ("3*y^2", POS))),
+        ("ClassIII-pair", "EQ", "paired-map-ratio",
+         ["window_ratio_monotonicity", "hull_ratio_monotonicity"]),
+    ),
+    "class-III-pair-decreasing-f": (
+        ("1/x", (0.5, 2.0), (("x^3", POS), ("y^3", POS)), (("x^2", POS), ("y^2", POS))),
+        ("ClassIII-pair", "Undecided", "no-criterion-applied",
+         ["window_ratio_monotonicity", "hull_ratio_monotonicity", "f_monotonicity"]),
+    ),
+    "exchanged-increasing-f": (
+        ("x", (0.3, 1.2), (("cos(x)", _WIDE), ("sin(y)", _WIDE)),
+         (("sin(x)", _WIDE), ("cos(y)", _WIDE))),
+        ("ExchangedDMs", "Undecided", "no-criterion-applied",
+         ["window_ratio_monotonicity", "hull_ratio_monotonicity", "f_monotonicity"]),
+    ),
+    "general-aligned": (
+        ("exp(x)", (0.5, 1.5), (("x^2", POS), ("y^3", POS)),
+         (("x", Interval(0.0, 3.0)), ("y", Interval(0.0, 99.0)))),
+        ("GeneralIV", "GT", "dual-ratio case 1",
+         ["base_ratio_monotonicity", "value_ratio_monotonicity", "f_monotonicity"]),
+    ),
+    "general-decreasing-f": (
+        ("exp(-x)", (0.5, 1.5), (("x", Interval(0.0, 3.0)), ("y^3", POS)),
+         (("x^2", POS), ("y", Interval(0.0, 99.0)))),
+        ("GeneralIV", "GT", "dual-ratio case 1",
+         ["base_ratio_monotonicity", "value_ratio_monotonicity", "f_monotonicity"]),
+    ),
+    "general-decreasing-f-conflicting": (
+        ("exp(-x)", (0.5, 1.5), (("x^2", POS), ("y^3", POS)),
+         (("x", Interval(0.0, 3.0)), ("y", Interval(0.0, 99.0)))),
+        ("GeneralIV", "Undecided", "no-criterion-applied",
+         ["base_ratio_monotonicity", "value_ratio_monotonicity", "f_monotonicity"]),
+    ),
+    "class-V-aligned": (
+        ("x", (1.0, 2.0), (("x^2", POS), ("y^3", POS)), (("ln(x)", POS), ("y", Interval(0.0, 4.0)))),
+        ("ClassV", "GT", "dual-ratio case 1",
+         ["base_ratio_monotonicity", "value_ratio_monotonicity", "f_monotonicity"]),
+    ),
+}
+
+
+def _frame_of(pair):
+    return tuple(generator_map(*m) for m in pair)
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_justification_and_evidence_keys_are_pinned(name):
+    (f, window, left, right), (scenario, relation, why, keys) = _PINNED[name]
+    s = scenario_of(f, window, _frame_of(left), _frame_of(right))
+    assert s.scenario == scenario
+    v = compare_function_means(s)
+    assert (v.relation, v.justification) == (relation, why)
+    assert list(v.evidence) == ["scenario"] + keys + ["numeric"]
+
+
+@pytest.mark.parametrize(
+    "scenario, why, keys",
+    [
+        ("GeneralIV", "dual-ratio constant", ["base_ratio_monotonicity", "value_ratio_monotonicity"]),
+        ("ClassV", "dual-ratio constant", ["base_ratio_monotonicity", "value_ratio_monotonicity"]),
+        ("ExchangedDMs", "exchanged-map-ratio", ["window_ratio_monotonicity", "hull_ratio_monotonicity"]),
+    ],
+)
+def test_constant_ratios_give_equality_under_every_dual_label(scenario, why, keys):
+    # Detection files rescaled frames under an earlier scenario, so these
+    # labels are forced here to reach their equality branch.
+    left = frame.make_frame(_frame_of((("x^2", POS), ("y^2", POS))))
+    right = frame.make_frame(_frame_of((("2*x^2+1", POS), ("3*y^2", POS))))
+    s = compare_mod.ComparisonScenario(compare_mod._coerce_f("x"), Interval(0.5, 2.0), left, right, scenario)
+    v = compare_function_means(s)
+    assert (v.relation, v.justification) == ("EQ", why)
+    assert list(v.evidence) == ["scenario"] + keys + ["numeric"]
+
+
+# ---------------------------------------------------------------------------
+# the Jensen fallback: the ratio reads Unknown, the conjugate's shape decides
+# ---------------------------------------------------------------------------
+
+# For g = x + x^22/22 against h = x on [0.01, 1], the derivative 21·x^20 of
+# g'/h' stays below the 1e-12 sign floor on 78 of the 257 samples, so the
+# ratio classifies Unknown while the conjugate g∘h⁻¹ still reads Convex.
+_JENSEN_DOMAIN = Interval(0.0, 1.02)
+_JENSEN_WINDOW = Interval(0.01, 1.0)
+
+
+def _jmap(source):
+    return generator_map(source, _JENSEN_DOMAIN)
+
+
+@pytest.mark.parametrize(
+    "left, right, relation, case",
+    [
+        ("y + y^22/22", "y", "GE", 1),
+        ("y", "y + y^22/22", "LE", 2),
+        ("-y", "y + y^22/22", "LE", 3),
+        ("-(y + y^22/22)", "y", "GE", 4),
+        ("y", "y - y^22/44", "GE", 1),
+        ("-y", "y - y^22/44", "GE", 4),
+    ],
+)
+def test_value_map_jensen_cases(left, right, relation, case):
+    s = make_scenario(
+        "x", _JENSEN_WINDOW, (_jmap("x"), _jmap(left)), (_jmap("x"), _jmap(right))
+    )
+    assert s.scenario == "ClassI"
+    v = compare_function_means(s)
+    assert (v.relation, v.justification) == (relation, f"value-map-jensen case {case}")
+    assert v.evidence["value_ratio_monotonicity"] == "Unknown"
+    assert v.evidence["jensen_convexity"] == ("Convex" if case in (1, 3) else "Concave")
+
+
+@pytest.mark.parametrize(
+    "f, left, right, relation, case",
+    [
+        ("x", "x + x^22/22", "x", "GE", 1),
+        ("x", "x", "x + x^22/22", "LE", 2),
+        ("x", "-x", "x + x^22/22", "LE", 3),
+        ("x", "-(x + x^22/22)", "-x", "GE", 4),
+        ("2-x", "x + x^22/22", "x", "LE", 1),
+        ("2-x", "x", "x + x^22/22", "GE", 2),
+        ("2-x", "-x", "-(x + x^22/22)", "GE", 3),
+        ("2-x", "-(x + x^22/22)", "x", "LE", 4),
+    ],
+)
+def test_base_map_jensen_cases_in_both_directions_of_f(f, left, right, relation, case):
+    idv = generator_map("y", Interval(-1.0, 3.0))
+    s = make_scenario(f, _JENSEN_WINDOW, (_jmap(left), idv), (_jmap(right), idv))
+    assert s.scenario == "ClassII"
+    v = compare_function_means(s)
+    assert (v.relation, v.justification) == (relation, f"base-map-jensen case {case}")
+    assert v.evidence["base_ratio_monotonicity"] == "Unknown"
+    assert v.evidence["f_monotonicity"] == ("StrictlyIncreasing" if f == "x" else "StrictlyDecreasing")
+
+
+# ---------------------------------------------------------------------------
 # soundness sweep: every decided verdict matches the numbers
 # ---------------------------------------------------------------------------
 

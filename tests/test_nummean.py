@@ -136,6 +136,73 @@ def test_verdict_direction_and_agreement_api():
     assert not v.agrees_with_sign(+0.01, 1e-9)
 
 
+_POWER_DOMAIN = Interval(0.0, math.inf, lo_open=True)
+_EXP_DOMAIN = Interval(-1.0, 5.0)
+
+
+@pytest.mark.parametrize(
+    "g, h, domain, relation",
+    [
+        ("x^3", "x^1.5", _POWER_DOMAIN, "GE"),
+        ("x^1.5", "x^3", _POWER_DOMAIN, "LE"),
+        ("exp(x)", "x", _EXP_DOMAIN, "GE"),
+        ("x", "exp(x)", _EXP_DOMAIN, "LE"),
+        ("2*x+1", "x", _POWER_DOMAIN, "EQ"),
+    ],
+)
+def test_ratio_route_justification_and_evidence(g, h, domain, relation):
+    v = compare_number_means(generator_map(g, domain), generator_map(h, domain), Interval(0.7, 1.9))
+    assert (v.relation, v.justification) == (relation, "ratio-criterion")
+    assert v.evidence == {
+        "window": "[0.7, 1.9]",
+        "resolution": 257,
+        "route": "ratio",
+        "cross_check": f"parity agrees ({relation})",
+    }
+
+
+# For g = x + x^22/22 against h = x on [0.01, 1], the derivative 21·x^20 of
+# g'/h' stays below the 1e-12 sign floor on 78 of the 257 samples: the
+# ratio reads Unknown and the shape of the conjugate g∘h⁻¹ decides.
+_JENSEN_DOMAIN = Interval(0.0, 1.02)
+
+
+@pytest.mark.parametrize(
+    "g, h, relation, case",
+    [
+        ("x + x^22/22", "x", "GE", 1),
+        ("x", "x + x^22/22", "LE", 2),
+        ("x + x^22/22", "-x", "GE", 1),
+        ("-x", "x + x^22/22", "LE", 3),
+        ("-(x + x^22/22)", "x", "GE", 4),
+        ("x", "-(x + x^22/22)", "LE", 2),
+        ("-(x + x^22/22)", "-x", "GE", 4),
+        ("-x", "-(x + x^22/22)", "LE", 3),
+        ("x - x^22/44", "x", "LE", 2),
+        ("x", "x - x^22/44", "GE", 1),
+        ("x - x^22/44", "-x", "LE", 2),
+        ("-x", "x - x^22/44", "GE", 4),
+    ],
+)
+def test_jensen_route_cases(g, h, relation, case):
+    gm, hm = generator_map(g, _JENSEN_DOMAIN), generator_map(h, _JENSEN_DOMAIN)
+    v = compare_number_means(gm, hm, Interval(0.01, 1.0))
+    assert (v.relation, v.justification) == (relation, f"jensen-criterion case {case}")
+    assert list(v.evidence) == ["window", "resolution", "route", "conjugate_window", "cross_check"]
+    assert v.evidence["route"] == "jensen"
+    assert v.evidence["cross_check"] == "parity skipped (ratio not classified)"
+    # The verdict speaks of every tuple in the window; test it on one.
+    xs = [0.05, 0.5, 0.97]
+    diff = iso_mean(xs, gm) - iso_mean(xs, hm)
+    assert v.agrees_with_sign(diff, 1e-12)
+
+
+def test_degenerate_window_is_pinned():
+    v = compare_number_means(generator_map("x", POS), generator_map("x^2", POS), Interval(1.0, 1.0))
+    assert (v.relation, v.justification) == ("EQ", "degenerate-window")
+    assert v.evidence == {"window": "[1.0, 1.0]"}
+
+
 # ---------------------------------------------------------------------------
 # structural properties
 # ---------------------------------------------------------------------------
