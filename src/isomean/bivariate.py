@@ -378,6 +378,36 @@ def _slope_balance(curve: Expr, base: Expr) -> Callable[[np.ndarray], np.ndarray
     return compile_numpy(add(div(c2, c1), mul(const(2.0), div(b2, b1))))
 
 
+def _secant_slope(curve: Expr, base: Expr, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """``(c(u)−c(v))/c'(v) · b'(u)/b'(v)`` at each point pair."""
+    c, dc = compile_numpy(curve), compile_numpy(differentiate(curve))
+    db = compile_numpy(differentiate(base))
+    return (c(us) - c(vs)) / dc(vs) * db(us) / db(vs)
+
+
+def _losonczi_gap(f, g, h, G, H, d: Interval, what: str, terms):
+    """The gap between the two sides of a comparison condition.
+
+    With γ = h∘f and Γ = H∘f, `terms(γ, g, Γ, G)` gives the left and right
+    sides as arrays.  Returns the gap right − left, oriented by f's
+    direction, where both sides are finite, and its noise floor 1e-9·scale.
+    """
+    if d.degenerate or not d.bounded:
+        raise PreconditionError("comparison needs a bounded non-degenerate window")
+    fe = _as_expr(f, "f")
+    direction = _strict_direction(fe, d)
+    gamma = substitute(_as_expr(h, "h"), fe)
+    Gamma = substitute(_as_expr(H, "H"), fe)
+    with np.errstate(all="ignore"):
+        lhs, rhs = terms(gamma, _as_expr(g, "g"), Gamma, _as_expr(G, "G"))
+    ok = np.isfinite(lhs) & np.isfinite(rhs)
+    if int(ok.sum()) < 32:
+        raise DomainError(f"{what} terms are not evaluable on the window")
+    gap = (rhs[ok] - lhs[ok]) * (1 if direction > 0 else -1)
+    scale = max(1.0, float(np.max(np.abs(lhs[ok]))), float(np.max(np.abs(rhs[ok]))))
+    return gap, 1e-9 * scale
+
+
 def losonczi_necessary(f, g, h, G, H, d: Interval, samples: int = DEFAULT_SAMPLES) -> Verdict:
     """Pointwise slope-balance condition separating two map pairs.
 
@@ -389,24 +419,12 @@ def losonczi_necessary(f, g, h, G, H, d: Interval, samples: int = DEFAULT_SAMPLE
     verdict is only decided when the window is narrow relative to its
     location; otherwise the sign pattern is reported as evidence.
     """
-    if d.degenerate or not d.bounded:
-        raise PreconditionError("comparison needs a bounded non-degenerate window")
-    fe = _as_expr(f, "f")
-    direction = _strict_direction(fe, d)
-    gamma = substitute(_as_expr(h, "h"), fe)
-    Gamma = substitute(_as_expr(H, "H"), fe)
-    lhs_fn = _slope_balance(gamma, _as_expr(g, "g"))
-    rhs_fn = _slope_balance(Gamma, _as_expr(G, "G"))
-    xs = sample_grid(d, samples)
-    with np.errstate(all="ignore"):
-        lhs = lhs_fn(xs)
-        rhs = rhs_fn(xs)
-    ok = np.isfinite(lhs) & np.isfinite(rhs)
-    if int(ok.sum()) < 32:
-        raise DomainError("slope-balance terms are not evaluable on the window")
-    gap = (rhs[ok] - lhs[ok]) * (1 if direction > 0 else -1)
-    scale = max(1.0, float(np.max(np.abs(lhs[ok]))), float(np.max(np.abs(rhs[ok]))))
-    tiny = 1e-9 * scale
+
+    def terms(gamma, ge, Gamma, Ge):
+        xs = sample_grid(d, samples)
+        return _slope_balance(gamma, ge)(xs), _slope_balance(Gamma, Ge)(xs)
+
+    gap, tiny = _losonczi_gap(f, g, h, G, H, d, "slope-balance", terms)
     span = d.hi - d.lo
     predictive = span <= 1e-2 * max(1.0, abs(d.lo), abs(d.hi))
     evidence = {
@@ -446,41 +464,20 @@ def losonczi_sufficient(
     (G, H)-mean (reversed for decreasing f).  The condition is scanned on
     a structured mesh plus a seeded random cloud of point pairs.
     """
-    if d.degenerate or not d.bounded:
-        raise PreconditionError("comparison needs a bounded non-degenerate window")
-    fe = _as_expr(f, "f")
-    direction = _strict_direction(fe, d)
-    gamma = substitute(_as_expr(h, "h"), fe)
-    Gamma = substitute(_as_expr(H, "H"), fe)
-    ge, Ge = _as_expr(g, "g"), _as_expr(G, "G")
 
-    gam = compile_numpy(gamma)
-    dgam = compile_numpy(differentiate(gamma))
-    Gam = compile_numpy(Gamma)
-    dGam = compile_numpy(differentiate(Gamma))
-    dg = compile_numpy(differentiate(ge))
-    dG = compile_numpy(differentiate(Ge))
+    def terms(gamma, ge, Gamma, Ge):
+        base = sample_grid(d, mesh)
+        uu, vv = np.meshgrid(base, base)
+        rng = np.random.default_rng(20260817)
+        inner = d.clamp_inward(1e-9)
+        us = np.concatenate([uu.ravel(), rng.uniform(inner.lo, inner.hi, random_pairs)])
+        vs = np.concatenate([vv.ravel(), rng.uniform(inner.lo, inner.hi, random_pairs)])
+        return _secant_slope(gamma, ge, us, vs), _secant_slope(Gamma, Ge, us, vs)
 
-    base = sample_grid(d, mesh)
-    uu, vv = np.meshgrid(base, base)
-    us, vs = uu.ravel(), vv.ravel()
-    rng = np.random.default_rng(20260817)
-    lo, hi = d.clamp_inward(1e-9).lo, d.clamp_inward(1e-9).hi
-    us = np.concatenate([us, rng.uniform(lo, hi, random_pairs)])
-    vs = np.concatenate([vs, rng.uniform(lo, hi, random_pairs)])
-
-    with np.errstate(all="ignore"):
-        lhs = (gam(us) - gam(vs)) / dgam(vs) * dg(us) / dg(vs)
-        rhs = (Gam(us) - Gam(vs)) / dGam(vs) * dG(us) / dG(vs)
-    ok = np.isfinite(lhs) & np.isfinite(rhs)
-    if int(ok.sum()) < 32:
-        raise DomainError("secant-slope terms are not evaluable on the window")
-    gap = (rhs[ok] - lhs[ok]) * (1 if direction > 0 else -1)
-    scale = max(1.0, float(np.max(np.abs(lhs[ok]))), float(np.max(np.abs(rhs[ok]))))
-    tiny = 1e-9 * scale
+    gap, tiny = _losonczi_gap(f, g, h, G, H, d, "secant-slope", terms)
     evidence = {
         "window": str(d),
-        "pairs": int(ok.sum()),
+        "pairs": int(gap.size),
         "gap_min": float(np.min(gap)),
         "gap_max": float(np.max(gap)),
     }

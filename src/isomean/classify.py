@@ -230,17 +230,8 @@ def classify_monotonicity(f: FnLike, d: Interval, samples: int = DEFAULT_SAMPLES
 
 
 def _scalar_deriv(f: FnLike):
-    if isinstance(f, Expr):
-        fn = compile_numpy(differentiate(f))
-        return lambda x: float(fn(np.asarray([x]))[0])
-    vfn = as_vector_fn(f)
-
-    def deriv(x):
-        h = 1e-6 * max(1.0, abs(x))
-        vv = vfn(np.asarray([x + h, x - h]))
-        return float((vv[0] - vv[1]) / (2 * h))
-
-    return deriv
+    """The one-point call of `_derivative_samples`."""
+    return lambda x: float(_derivative_samples(f, np.asarray([x]))[0])
 
 
 def classify_convexity(f: FnLike, d: Interval, samples: int = DEFAULT_SAMPLES) -> ConvexityClass:

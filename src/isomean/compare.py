@@ -1,25 +1,51 @@
 """Criterion-dispatch comparison of two isomorphic means of one function.
 
 Given one function f on one window and two frames, the engine detects which
-structural scenario the frame pair falls into, applies the sharpest ordering
-criterion available for that scenario (classifying derivative ratios and,
-where admissible, the convexity of a conjugate map), and then *always*
-recomputes both means numerically.  A decided verdict that disagrees with
-the numbers beyond the combined quadrature budget raises
+structural scenario the frame pair falls into, applies that scenario's
+ordering rule (classifying derivative ratios and, where admissible, the
+convexity of a conjugate map), and then *always* recomputes both means
+numerically.  A decided verdict that disagrees with the numbers beyond the
+combined quadrature budget raises
 :class:`~isomean._errors.ComparisonContradiction` — it is a hard failure,
 never a warning.
 
-Scenario vocabulary, detected from frame structure (sharpest first):
+Scenarios, detected from frame structure (sharpest first), and their rules:
 
-* ``ClassI``        — both base maps are scale-shifts of the identity,
-* ``ClassII``       — both value maps are scale-shifts of the identity,
-* ``ClassIII-pair`` — each frame reuses one map on both axes,
-* ``ExchangedDMs``  — the right frame is the left one with its maps swapped,
-* ``SameIVDM``      — shared base map, value maps differ,
-* ``SamePVDM``      — shared value map, base maps differ,
-* ``ClassV``        — f is the identity,
-* ``GeneralIV``     — anything else (a partial criterion exists).
+=============  ===============================================  ==============
+scenario       detected when                                    rule
+=============  ===============================================  ==============
+ClassI         both base maps are scale-shifts of the identity  value + Jensen
+ClassII        both value maps are scale-shifts of the identity base + Jensen
+ClassIII-pair  each frame reuses one map on both axes           dual, f up
+ExchangedDMs   the right frame is the left one, maps swapped    dual, f down
+SameIVDM       shared base map, value maps differ               value
+SamePVDM       shared value map, base maps differ               base
+ClassV         f is the identity                                dual
+GeneralIV      anything else (a partial criterion exists)       dual
+=============  ===============================================  ==============
 
+* **value**: |u'/w'| of the value maps across the hull.  Constant gives EQ,
+  increasing GE, decreasing LE; justification ``value-map-ratio``.
+* **base**: |g'/G'| of the base maps across the window.  Constant gives EQ;
+  for strictly monotone f, GT when the ratio moves with f and LT against
+  it; justification ``base-map-ratio``.
+* **dual**: both ratios.  Both constant gives EQ; for strictly monotone f,
+  GT when the base ratio moves with f and the value ratio increases, LT
+  when the base ratio moves against f and the value ratio decreases.
+  ClassIII-pair decides only for increasing f (``paired-map-ratio``) and
+  ExchangedDMs only for decreasing f (``exchanged-map-ratio``, its value
+  ratio read right over left); ClassV and GeneralIV answer
+  ``dual-ratio constant``, ``dual-ratio case 1`` (GT), ``case 2`` (LT).
+* **Jensen**, when the ratio does not classify: the shape of the conjugate
+  left∘right⁻¹ over the right map's image of the hull (ClassI) or the
+  window (ClassII).  Affine gives EQ (``affine``); convex gives GE for an
+  increasing left map (``case 1``) and LE for a decreasing one
+  (``case 3``); concave gives LE (``case 2``) and GE (``case 4``).  In
+  ClassII decreasing f reverses the relation and a strictly convex or
+  concave conjugate makes it strict.  Justifications
+  ``value-map-jensen …`` and ``base-map-jensen …``.
+
+Anything a rule leaves open is Undecided, ``no-criterion-applied``.
 Scale-shifted maps generate identical means, which is why detection tests
 for affine equivalence rather than structural equality, and why a constant
 derivative ratio always yields EQ.
@@ -28,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -35,14 +62,12 @@ import numpy as np
 from ._errors import ComparisonContradiction, DomainError, InversionError, PreconditionError
 from .bivariate import Antiderivative
 from .classify import (
-    AFFINE,
     CONSTANT,
     STRICTLY_CONCAVE,
     STRICTLY_CONVEX,
     STRICTLY_DECREASING,
     STRICTLY_INCREASING,
     MonotonicityClass,
-    classify_convexity,
     classify_monotonicity,
 )
 from .expr import as_vector_fn
@@ -55,7 +80,7 @@ from .frame import (
 )
 from .funmean import MeanProblem, MeanResult, _coerce_f, class_II_mean, dvi_mean
 from .intervals import Interval
-from .nummean import _conjugate_fn, _signed_ratio_classifier
+from .nummean import _RATIO_RELATION, _jensen_reading, _signed_ratio_classifier
 from .verdict import EQ, GE, GT, LE, LT, UNDECIDED, Verdict
 
 SCENARIOS = (
@@ -219,67 +244,45 @@ def _map_window(m: GeneratorMap, w: Interval) -> Optional[Interval]:
     return Interval(min(ya, yb), max(ya, yb))
 
 
-def _jensen_table(mdir: int, conv) -> tuple:
-    """Relation and case number from (left-map direction, conjugate shape).
-
-    The four decided combinations, for the canonical orientation: increasing
-    map with a convex conjugate pushes the left mean up (case 1), concave
-    pulls it down (case 2); a decreasing map swaps the two (cases 3 and 4).
-    """
-    if conv.is_convex and not conv.is_concave:
-        return (GE, 1) if mdir > 0 else (LE, 3)
-    if conv.is_concave and not conv.is_convex:
-        return (LE, 2) if mdir > 0 else (GE, 4)
-    return None, None
+def _undecided(ev: dict) -> Verdict:
+    return Verdict(UNDECIDED, "no-criterion-applied", ev)
 
 
-def _handle_value_maps(s: ComparisonScenario, with_jensen: bool) -> Verdict:
-    """Shared criterion for ClassI and SameIVDM: only the value maps differ.
+def _jensen(ev: dict, left: GeneratorMap, right: GeneratorMap, window: Interval, name: str,
+            f_dir: int = 0) -> Verdict:
+    """The Jensen fallback: the shape of left∘right⁻¹ over right's image of
+    `window`.  Given f's direction (±1), decreasing f reverses the relation
+    and a strictly convex or concave conjugate makes it strict."""
+    jwin = _map_window(right, window)
+    if jwin is None:
+        return _undecided(ev)
+    conv, rel, label = _jensen_reading(left, right, jwin)
+    ev["jensen_convexity"] = conv.kind
+    if rel is None:
+        return _undecided(ev)
+    if f_dir and rel != EQ:
+        if f_dir < 0:
+            rel = GE if rel == LE else LE
+        if conv.kind in (STRICTLY_CONVEX, STRICTLY_CONCAVE):
+            rel = GT if rel == GE else LT
+    return Verdict(rel, f"{name}-jensen {label}", ev)
 
-    The ratio rule reads |u'/w'| across the value hull; no strict version
-    exists and f's monotonicity is never consulted.  The conjugate-shape
-    fallback applies in class I only.
-    """
+
+def _value_rule(s: ComparisonScenario, jensen: bool) -> Verdict:
+    """ClassI and SameIVDM; f's monotonicity is never consulted."""
     ev = {"scenario": s.scenario}
     rc = _ratio_class(s.left.h, s.right.h, s.hull)
     ev["value_ratio_monotonicity"] = rc.kind
-    if rc.kind == CONSTANT:
-        return Verdict(EQ, "value-map-ratio", ev)
-    if rc.is_strictly_increasing:
-        return Verdict(GE, "value-map-ratio", ev)
-    if rc.is_strictly_decreasing:
-        return Verdict(LE, "value-map-ratio", ev)
-    if with_jensen:
-        jwin = _map_window(s.right.h, s.hull)
-        if jwin is not None:
-            conv = classify_convexity(_conjugate_fn(s.left.h, s.right.h), jwin)
-            ev["jensen_convexity"] = conv.kind
-            if conv.kind == AFFINE:
-                return Verdict(EQ, "value-map-jensen affine", ev)
-            udir = 1 if s.left.h.increasing else -1
-            rel, case = _jensen_table(udir, conv)
-            if rel is not None:
-                return Verdict(rel, f"value-map-jensen case {case}", ev)
-    return Verdict(UNDECIDED, "no-criterion-applied", ev)
+    rel = _RATIO_RELATION.get(rc.kind)
+    if rel is not None:
+        return Verdict(rel, "value-map-ratio", ev)
+    if jensen:
+        return _jensen(ev, s.left.h, s.right.h, s.hull, "value-map")
+    return _undecided(ev)
 
 
-def _handle_class_I(s: ComparisonScenario) -> Verdict:
-    return _handle_value_maps(s, with_jensen=True)
-
-
-def _handle_same_base(s: ComparisonScenario) -> Verdict:
-    return _handle_value_maps(s, with_jensen=False)
-
-
-def _handle_class_II(s: ComparisonScenario) -> Verdict:
-    """Only the base maps differ and the value maps are trivial.
-
-    The ratio rule crosses |g'/G'| with f's direction; agreement pushes the
-    left mean up.  When the ratio does not classify, the shape of the
-    conjugate ``g∘G⁻¹`` over G's image decides, with every relation
-    reversed under decreasing f.  Both decided paths are strict because f
-    must be strictly monotone here.
-    """
+def _base_rule(s: ComparisonScenario, jensen: bool) -> Verdict:
+    """ClassII and SamePVDM; strict, because f must be strictly monotone."""
     ev = {"scenario": s.scenario}
     rc = _ratio_class(s.left.g, s.right.g, s.fdomain)
     ev["base_ratio_monotonicity"] = rc.kind
@@ -288,130 +291,53 @@ def _handle_class_II(s: ComparisonScenario) -> Verdict:
     mono_f = classify_monotonicity(s.f, s.fdomain)
     ev["f_monotonicity"] = mono_f.kind
     if not mono_f.is_strictly_monotone:
-        return Verdict(UNDECIDED, "no-criterion-applied", ev)
+        return _undecided(ev)
     if rc.is_strictly_monotone:
-        rel = GT if rc.direction == mono_f.direction else LT
-        return Verdict(rel, "base-map-ratio", ev)
-    jwin = _map_window(s.right.g, s.fdomain)
-    if jwin is not None:
-        conv = classify_convexity(_conjugate_fn(s.left.g, s.right.g), jwin)
-        ev["jensen_convexity"] = conv.kind
-        if conv.kind == AFFINE:
-            return Verdict(EQ, "base-map-jensen affine", ev)
-        gdir = 1 if s.left.g.increasing else -1
-        rel, case = _jensen_table(gdir, conv)
-        if rel is not None:
-            if mono_f.direction < 0:
-                rel = GE if rel == LE else LE
-            if conv.kind in (STRICTLY_CONVEX, STRICTLY_CONCAVE):
-                rel = GT if rel == GE else LT
-            return Verdict(rel, f"base-map-jensen case {case}", ev)
-    return Verdict(UNDECIDED, "no-criterion-applied", ev)
+        return Verdict(GT if rc.direction == mono_f.direction else LT, "base-map-ratio", ev)
+    if jensen:
+        return _jensen(ev, s.left.g, s.right.g, s.fdomain, "base-map", mono_f.direction)
+    return _undecided(ev)
 
 
-def _handle_same_value(s: ComparisonScenario) -> Verdict:
-    """Shared value map: the class-II ratio rule, without its fallback."""
-    ev = {"scenario": s.scenario}
-    rc = _ratio_class(s.left.g, s.right.g, s.fdomain)
-    ev["base_ratio_monotonicity"] = rc.kind
-    if rc.kind == CONSTANT:
-        return Verdict(EQ, "base-map-ratio", ev)
-    mono_f = classify_monotonicity(s.f, s.fdomain)
-    ev["f_monotonicity"] = mono_f.kind
-    if not (mono_f.is_strictly_monotone and rc.is_strictly_monotone):
-        return Verdict(UNDECIDED, "no-criterion-applied", ev)
-    rel = GT if rc.direction == mono_f.direction else LT
-    return Verdict(rel, "base-map-ratio", ev)
-
-
-def _handle_class_III(s: ComparisonScenario) -> Verdict:
-    """Each frame reuses one map; decided only for increasing f.
-
-    The single ratio must classify the same way on the window and on the
-    value hull; the two sub-cases with decreasing f are genuinely open, so
-    they return Undecided rather than a guess.
-    """
-    ev = {"scenario": s.scenario}
-    rcw = _ratio_class(s.left.g, s.right.g, s.fdomain)
-    rch = _ratio_class(s.left.h, s.right.h, s.hull)
-    ev["window_ratio_monotonicity"] = rcw.kind
-    ev["hull_ratio_monotonicity"] = rch.kind
-    if rcw.kind == CONSTANT and rch.kind == CONSTANT:
-        return Verdict(EQ, "paired-map-ratio", ev)
-    mono_f = classify_monotonicity(s.f, s.fdomain)
-    ev["f_monotonicity"] = mono_f.kind
-    if not mono_f.is_strictly_increasing:
-        return Verdict(UNDECIDED, "no-criterion-applied", ev)
-    if rcw.is_strictly_increasing and rch.is_strictly_increasing:
-        return Verdict(GT, "paired-map-ratio", ev)
-    if rcw.is_strictly_decreasing and rch.is_strictly_decreasing:
-        return Verdict(LT, "paired-map-ratio", ev)
-    return Verdict(UNDECIDED, "no-criterion-applied", ev)
-
-
-def _handle_exchanged(s: ComparisonScenario) -> Verdict:
-    """Right frame swaps the left frame's maps; decided only for decreasing f.
-
-    An increasing ratio favors the exchanged (right) mean.  The two
-    sub-cases with increasing f are open and return Undecided.  Ratios are
-    formed from whichever copy of each map is bonded to the window being
-    classified, which is legitimate because scale-shifts do not move ratio
-    monotonicity.
-    """
-    ev = {"scenario": s.scenario}
-    rcw = _ratio_class(s.left.g, s.right.g, s.fdomain)
-    rch = _ratio_class(s.right.h, s.left.h, s.hull)
-    ev["window_ratio_monotonicity"] = rcw.kind
-    ev["hull_ratio_monotonicity"] = rch.kind
-    if rcw.kind == CONSTANT and rch.kind == CONSTANT:
-        return Verdict(EQ, "exchanged-map-ratio", ev)
-    mono_f = classify_monotonicity(s.f, s.fdomain)
-    ev["f_monotonicity"] = mono_f.kind
-    if not mono_f.is_strictly_decreasing:
-        return Verdict(UNDECIDED, "no-criterion-applied", ev)
-    if rcw.is_strictly_increasing and rch.is_strictly_increasing:
-        return Verdict(LT, "exchanged-map-ratio", ev)
-    if rcw.is_strictly_decreasing and rch.is_strictly_decreasing:
-        return Verdict(GT, "exchanged-map-ratio", ev)
-    return Verdict(UNDECIDED, "no-criterion-applied", ev)
-
-
-def _handle_general(s: ComparisonScenario) -> Verdict:
-    """Partial criterion when nothing structural helps.
-
-    Decides only when the base-map ratio agrees (case 1) or disagrees
-    (case 2) with f's direction while the value-map ratio moves the
-    matching way across the hull; everything else is Undecided.  For the
-    identity f (the ClassV scenario) this reduces to: both ratios
-    increasing gives GT, both decreasing gives LT.
-    """
+def _dual_rule(s: ComparisonScenario, f_dir: int, swap: bool, keys: tuple, names: tuple) -> Verdict:
+    """The base ratio on the window and the value ratio on the hull.  f must
+    have direction `f_dir` (0: either); `swap` reads the value ratio right
+    over left, `keys` prefix the evidence, `names` justify EQ, GT and LT."""
     ev = {"scenario": s.scenario}
     rcb = _ratio_class(s.left.g, s.right.g, s.fdomain)
-    rch = _ratio_class(s.left.h, s.right.h, s.hull)
-    ev["base_ratio_monotonicity"] = rcb.kind
-    ev["value_ratio_monotonicity"] = rch.kind
-    if rcb.kind == CONSTANT and rch.kind == CONSTANT:
-        return Verdict(EQ, "dual-ratio constant", ev)
+    num, den = (s.right.h, s.left.h) if swap else (s.left.h, s.right.h)
+    rcv = _ratio_class(num, den, s.hull)
+    ev[f"{keys[0]}_ratio_monotonicity"] = rcb.kind
+    ev[f"{keys[1]}_ratio_monotonicity"] = rcv.kind
+    if rcb.kind == CONSTANT and rcv.kind == CONSTANT:
+        return Verdict(EQ, names[0], ev)
     mono_f = classify_monotonicity(s.f, s.fdomain)
     ev["f_monotonicity"] = mono_f.kind
-    if not mono_f.is_strictly_monotone:
-        return Verdict(UNDECIDED, "no-criterion-applied", ev)
-    if rcb.is_strictly_monotone and rcb.direction == mono_f.direction and rch.is_strictly_increasing:
-        return Verdict(GT, "dual-ratio case 1", ev)
-    if rcb.is_strictly_monotone and rcb.direction == -mono_f.direction and rch.is_strictly_decreasing:
-        return Verdict(LT, "dual-ratio case 2", ev)
-    return Verdict(UNDECIDED, "no-criterion-applied", ev)
+    fdir = mono_f.direction
+    vdir = -rcv.direction if swap else rcv.direction
+    if fdir and f_dir in (0, fdir):
+        if rcb.direction == fdir and vdir > 0:
+            return Verdict(GT, names[1], ev)
+        if rcb.direction == -fdir and vdir < 0:
+            return Verdict(LT, names[2], ev)
+    return _undecided(ev)
 
 
+_PAIRED = dict(swap=False, keys=("window", "hull"), names=("paired-map-ratio",) * 3)
+_EXCHANGED = dict(swap=True, keys=("window", "hull"), names=("exchanged-map-ratio",) * 3)
+_DUAL = dict(swap=False, keys=("base", "value"),
+             names=("dual-ratio constant", "dual-ratio case 1", "dual-ratio case 2"))
+
+# Scenario → rule (see the module docstring).
 _HANDLERS = {
-    "ClassI": _handle_class_I,
-    "ClassII": _handle_class_II,
-    "ClassIII-pair": _handle_class_III,
-    "ExchangedDMs": _handle_exchanged,
-    "SameIVDM": _handle_same_base,
-    "SamePVDM": _handle_same_value,
-    "ClassV": _handle_general,
-    "GeneralIV": _handle_general,
+    "ClassI": partial(_value_rule, jensen=True),
+    "SameIVDM": partial(_value_rule, jensen=False),
+    "ClassII": partial(_base_rule, jensen=True),
+    "SamePVDM": partial(_base_rule, jensen=False),
+    "ClassIII-pair": partial(_dual_rule, f_dir=1, **_PAIRED),
+    "ExchangedDMs": partial(_dual_rule, f_dir=-1, **_EXCHANGED),
+    "ClassV": partial(_dual_rule, f_dir=0, **_DUAL),
+    "GeneralIV": partial(_dual_rule, f_dir=0, **_DUAL),
 }
 
 

@@ -356,11 +356,6 @@ def _build_map(expr: Expr, domain: Interval) -> GeneratorMap:
     )
 
 
-def invert_eval(g: GeneratorMap, u: float) -> float:
-    """Solve g(x) = u on g's domain."""
-    return g.invert(u)
-
-
 @dataclass(frozen=True)
 class Frame:
     """An ordered tuple of generator maps acting componentwise."""

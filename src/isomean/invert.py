@@ -158,8 +158,8 @@ def within(d: Interval, xs):
     """Where `xs` (an array, or one float) lie in `d`: finite points only,
     a closed finite end e widened by 1e-9·(1 + |e|)."""
     lo, hi = d.lo, d.hi
-    above = xs > lo if d.lo_open or math.isinf(lo) else xs >= lo - 1e-9 * (1.0 + abs(lo))
-    below = xs < hi if d.hi_open or math.isinf(hi) else xs <= hi + 1e-9 * (1.0 + abs(hi))
+    above = xs > lo if d.lo_open else xs >= lo - 1e-9 * (1.0 + abs(lo))
+    below = xs < hi if d.hi_open else xs <= hi + 1e-9 * (1.0 + abs(hi))
     return above & below
 
 

@@ -33,6 +33,8 @@ from .classify import (
     AFFINE,
     CONSTANT,
     DEFAULT_SAMPLES,
+    STRICTLY_DECREASING,
+    STRICTLY_INCREASING,
     classify_convexity,
     classify_monotonicity,
 )
@@ -141,6 +143,27 @@ def _conjugate(g: GeneratorMap, h: GeneratorMap):
     return phi
 
 
+# The ratio criterion: how |l'/r'| moves orders the l-mean against the r-mean.
+_RATIO_RELATION = {CONSTANT: EQ, STRICTLY_INCREASING: GE, STRICTLY_DECREASING: LE}
+
+
+def _jensen_reading(l: GeneratorMap, r: GeneratorMap, window: Interval, samples: int = DEFAULT_SAMPLES):
+    """The Jensen criterion, read off the shape of the conjugate l∘r⁻¹ on
+    `window`, as (convexity class, relation, label): affine gives EQ; convex
+    gives GE (case 1) for increasing l and LE (case 3) for decreasing l;
+    concave LE (case 2) and GE (case 4); any other shape (None, None)."""
+    conv = classify_convexity(_conjugate_fn(l, r), window, samples)
+    if conv.kind == AFFINE:
+        return conv, EQ, "affine"
+    if conv.is_convex:
+        rel, case = (GE, 1) if l.increasing else (LE, 3)
+    elif conv.is_concave:
+        rel, case = (LE, 2) if l.increasing else (GE, 4)
+    else:
+        return conv, None, None
+    return conv, rel, f"case {case}"
+
+
 def _parity_check(g: GeneratorMap, h: GeneratorMap, d: Interval, samples: int):
     """Relation implied by the parity rule, or None when it does not apply.
 
@@ -190,32 +213,18 @@ def compare_number_means(
 
     evidence = {"window": str(d), "resolution": samples}
 
-    ratio = _signed_ratio_classifier(g, h, absolute=True)
-    mono = classify_monotonicity(ratio, d, samples)
-    verdict: Verdict | None = None
-    if mono.kind == CONSTANT:
-        verdict = Verdict(EQ, "ratio-criterion", dict(evidence, route="ratio"))
-    elif mono.is_strictly_increasing:
-        verdict = Verdict(GE, "ratio-criterion", dict(evidence, route="ratio"))
-    elif mono.is_strictly_decreasing:
-        verdict = Verdict(LE, "ratio-criterion", dict(evidence, route="ratio"))
-
-    if verdict is None:
+    mono = classify_monotonicity(_signed_ratio_classifier(g, h, absolute=True), d, samples)
+    rel = _RATIO_RELATION.get(mono.kind)
+    if rel is not None:
+        verdict = Verdict(rel, "ratio-criterion", dict(evidence, route="ratio"))
+    else:
         # Jensen fallback: convexity of the conjugate map on h's image.
         hd = estimate_range_hull(h.expr if h.expr is not None else h.value_many, d)
-        phi = _conjugate_fn(g, h)
-        conv = classify_convexity(phi, hd, samples)
         ev = dict(evidence, route="jensen", conjugate_window=str(hd))
-        if conv.kind == AFFINE:
-            verdict = Verdict(EQ, "jensen-criterion affine", ev)
-        elif conv.is_convex:
-            rel, case = (GE, 1) if g.increasing else (LE, 3)
-            verdict = Verdict(rel, f"jensen-criterion case {case}", ev)
-        elif conv.is_concave:
-            rel, case = (LE, 2) if g.increasing else (GE, 4)
-            verdict = Verdict(rel, f"jensen-criterion case {case}", ev)
-        else:
+        _, rel, label = _jensen_reading(g, h, hd, samples)
+        if rel is None:
             return Verdict(UNDECIDED, "no-criterion-applied", ev)
+        verdict = Verdict(rel, f"jensen-criterion {label}", ev)
 
     parity = _parity_check(g, h, d, samples)
     if parity is None:

@@ -14,7 +14,6 @@ from isomean.frame import (
     check_bonded,
     estimate_range_hull,
     generator_map,
-    invert_eval,
     invert_frame,
     make_frame,
 )
@@ -27,11 +26,11 @@ from isomean.parse import parse
 def test_closed_form_inverse_for_library_shapes():
     g = generator_map("exp(x)", Interval(0.0, 1.0))
     assert g.inverse_strategy == "closed-form"
-    assert invert_eval(g, math.e) == pytest.approx(1.0, abs=1e-14)
-    assert invert_eval(g, 1.0) == pytest.approx(0.0, abs=1e-14)
+    assert g.invert(math.e) == pytest.approx(1.0, abs=1e-14)
+    assert g.invert(1.0) == pytest.approx(0.0, abs=1e-14)
 
     h = generator_map("ln(y)", Interval(0.5, 4.0))
-    assert invert_eval(h, math.log(2.0)) == pytest.approx(2.0, rel=1e-14)
+    assert h.invert(math.log(2.0)) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_bracketed_inverse_for_composite_shapes():
@@ -39,7 +38,7 @@ def test_bracketed_inverse_for_composite_shapes():
     assert g.inverse_strategy == "bracketed-numeric"
     for x in (0.1, 0.5, 0.9):
         u = x + math.exp(x)
-        assert invert_eval(g, u) == pytest.approx(x, abs=1e-10)
+        assert g.invert(u) == pytest.approx(x, abs=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -52,7 +51,7 @@ def test_bracketed_inverse_for_composite_shapes():
 def test_odd_powers_invert_negative_values_in_closed_form(source, lo, hi, u, want):
     g = generator_map(source, Interval(lo, hi))
     assert g.inverse_strategy == "closed-form"
-    assert invert_eval(g, u) == pytest.approx(want, rel=1e-14)
+    assert g.invert(u) == pytest.approx(want, rel=1e-14)
     # x^(1/3) is undefined for negative values, so the inverse map is numeric
     assert g.inverse().inverse_strategy == "bracketed-numeric"
 
@@ -114,7 +113,7 @@ def test_degenerate_domain_is_rejected():
 def test_inversion_outside_image_fails():
     g = generator_map("x^2", Interval(1.0, 2.0))
     with pytest.raises(InversionError):
-        invert_eval(g, 100.0)
+        g.invert(100.0)
 
 
 def test_frame_inversion_is_an_involution():
