@@ -11,18 +11,18 @@ never a warning.
 
 Scenarios, detected from frame structure (sharpest first), and their rules:
 
-=============  ===============================================  ==============
-scenario       detected when                                    rule
-=============  ===============================================  ==============
-ClassI         both base maps are scale-shifts of the identity  value + Jensen
-ClassII        both value maps are scale-shifts of the identity base + Jensen
-ClassIII-pair  each frame reuses one map on both axes           dual, f up
-ExchangedDMs   the right frame is the left one, maps swapped    dual, f down
-SameIVDM       shared base map, value maps differ               value
-SamePVDM       shared value map, base maps differ               base
-ClassV         f is the identity                                dual
-GeneralIV      anything else (a partial criterion exists)       dual
-=============  ===============================================  ==============
+=============  ================================================  ==============
+scenario       detected when                                     rule
+=============  ================================================  ==============
+ClassI         both base maps are scale-shifts of the identity   value + Jensen
+ClassII        both value maps are scale-shifts of the identity  base + Jensen
+ClassIII-pair  each frame reuses one map on both axes            dual, f up
+ExchangedDMs   the right frame is the left one, maps swapped     dual, f down
+SameIVDM       shared base map, value maps differ                value
+SamePVDM       shared value map, base maps differ                base
+ClassV         f is the identity                                 dual
+GeneralIV      anything else (a partial criterion exists)        dual
+=============  ================================================  ==============
 
 * **value**: |u'/w'| of the value maps across the hull.  Constant gives EQ,
   increasing GE, decreasing LE; justification ``value-map-ratio``.
@@ -248,7 +248,7 @@ def _undecided(ev: dict) -> Verdict:
     return Verdict(UNDECIDED, "no-criterion-applied", ev)
 
 
-def _jensen(ev: dict, left: GeneratorMap, right: GeneratorMap, window: Interval, name: str,
+def _jensen(ev: dict, left: GeneratorMap, right: GeneratorMap, window: Interval, prefix: str,
             f_dir: int = 0) -> Verdict:
     """The Jensen fallback: the shape of left∘right⁻¹ over right's image of
     `window`.  Given f's direction (±1), decreasing f reverses the relation
@@ -265,7 +265,7 @@ def _jensen(ev: dict, left: GeneratorMap, right: GeneratorMap, window: Interval,
             rel = GE if rel == LE else LE
         if conv.kind in (STRICTLY_CONVEX, STRICTLY_CONCAVE):
             rel = GT if rel == GE else LT
-    return Verdict(rel, f"{name}-jensen {label}", ev)
+    return Verdict(rel, f"{prefix}-jensen {label}", ev)
 
 
 def _value_rule(s: ComparisonScenario, jensen: bool) -> Verdict:
@@ -299,9 +299,9 @@ def _base_rule(s: ComparisonScenario, jensen: bool) -> Verdict:
     return _undecided(ev)
 
 
-def _dual_rule(s: ComparisonScenario, f_dir: int, swap: bool, keys: tuple, names: tuple) -> Verdict:
+def _dual_rule(s: ComparisonScenario, need: int, swap: bool, keys: tuple, names: tuple) -> Verdict:
     """The base ratio on the window and the value ratio on the hull.  f must
-    have direction `f_dir` (0: either); `swap` reads the value ratio right
+    have direction `need` (0: either); `swap` reads the value ratio right
     over left, `keys` prefix the evidence, `names` justify EQ, GT and LT."""
     ev = {"scenario": s.scenario}
     rcb = _ratio_class(s.left.g, s.right.g, s.fdomain)
@@ -315,7 +315,7 @@ def _dual_rule(s: ComparisonScenario, f_dir: int, swap: bool, keys: tuple, names
     ev["f_monotonicity"] = mono_f.kind
     fdir = mono_f.direction
     vdir = -rcv.direction if swap else rcv.direction
-    if fdir and f_dir in (0, fdir):
+    if fdir and need in (0, fdir):
         if rcb.direction == fdir and vdir > 0:
             return Verdict(GT, names[1], ev)
         if rcb.direction == -fdir and vdir < 0:
@@ -334,10 +334,10 @@ _HANDLERS = {
     "SameIVDM": partial(_value_rule, jensen=False),
     "ClassII": partial(_base_rule, jensen=True),
     "SamePVDM": partial(_base_rule, jensen=False),
-    "ClassIII-pair": partial(_dual_rule, f_dir=1, **_PAIRED),
-    "ExchangedDMs": partial(_dual_rule, f_dir=-1, **_EXCHANGED),
-    "ClassV": partial(_dual_rule, f_dir=0, **_DUAL),
-    "GeneralIV": partial(_dual_rule, f_dir=0, **_DUAL),
+    "ClassIII-pair": partial(_dual_rule, need=1, **_PAIRED),
+    "ExchangedDMs": partial(_dual_rule, need=-1, **_EXCHANGED),
+    "ClassV": partial(_dual_rule, need=0, **_DUAL),
+    "GeneralIV": partial(_dual_rule, need=0, **_DUAL),
 }
 
 
