@@ -5,14 +5,18 @@ The integrator, `integrate_many`, is a globally adaptive Gauss–Kronrod
 case.  Every round makes one call of the integrand on the nodes of all the
 panels it evaluates: first one panel per segment, then, in each segment
 still short of its target, the halves of every panel whose error is at
-least half that segment's worst.  That is one panel per round at an
-endpoint singularity and hundreds on an oscillation.  Each segment keeps
-its own worst-first heap of panels, target and split budget, so its result
-does not depend on the other segments of the call.  Kronrod nodes are
-strictly interior, so integrable endpoint singularities (ln x at 0,
-1/sqrt(x)) are handled by plain subdivision with no special casing.  Final
-summation is `math.fsum`, which rounds the exact sum once, so the result
-does not depend on the order of the panels.
+least half that segment's worst.  That is hundreds of panels a round on an
+oscillation.  At an endpoint singularity it is only the panel at the end
+of the segment (or the two end panels), and halving it round after round
+would cost a call per level; so when a segment's panels of the round all
+touch its own ends, each is bisected up to eight times toward its end in
+that one call, each bisection counted as one split.  Each segment keeps its
+own worst-first heap of panels, target and split budget, so its result does
+not depend on the other segments of the call.  Kronrod nodes are strictly
+interior, so integrable endpoint singularities (ln x at 0, 1/sqrt(x)) need
+no special casing beyond that chaining.  Final summation is `math.fsum`,
+which rounds the exact sum once, so the result does not depend on the order
+of the panels.
 
 For genuinely improper endpoints (tan at π/2) the `endpoint_limit` driver
 evaluates the quantity on inward-shrunken windows ε_k = 10^−k·span,
@@ -86,6 +90,10 @@ DEFAULT_ABS_TOL = 1e-12
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_MAX_SUBDIV = 10**6
 
+#: A round that halves only end panels of a segment bisects each of them
+#: this many times toward its end, all in the round's one integrand call.
+_END_LEVELS = 8
+
 ENV_MAX_SUBDIV = "ISOMEAN_MAX_SUBDIV"
 
 
@@ -137,7 +145,12 @@ def integrate_many(
     its own target and its own budget of ``max_subdiv`` splits (default
     ``ISOMEAN_MAX_SUBDIV``, read once per call).  Each round pops, in every
     open segment, all panels whose error is at least half that segment's
-    worst, and evaluates all of their halves in one call of fn.  A segment
+    worst, and evaluates all of their halves in one call of fn.  When those
+    are one or two panels at the segment's own ends, each is instead
+    bisected up to ``_END_LEVELS`` times toward its end in that call,
+    keeping the inner halves and the last end half.  Every bisection counts
+    as one split, and a chain stops short when the budget has no room left
+    or the end panel is too narrow to halve.  A segment
     stops when its running error meets its target, its budget is spent or
     its worst panel has no error left.  A segment with lo > hi integrates
     with the sign flipped; one with lo == hi is 0 and costs no evaluation.
@@ -176,6 +189,8 @@ def integrate_many(
     while open_:
         popped = []  # the panels halved this round, segment after segment
         owners = []  # (segment state, how many of them are its)
+        chains = []  # (segment state, end panel, its first half, levels)
+        ca, cb = [], []  # the ends of the chained halves
         for i, state in list(open_.items()):
             heap, total, total_err, splits = state
             worst = -heap[0][0]
@@ -197,20 +212,43 @@ def integrate_many(
                 else:
                     # Too narrow to halve: it stays, and its error is dropped.
                     heapq.heappush(heap, (0.0,) + panel[1:])
+            n = len(popped) - first
+            if n <= 2 and all((p[1] == al[i]) != (p[2] == bl[i]) for p in popped[first:]):
+                # Only end panels: bisect each toward its end up to
+                # _END_LEVELS times, one split a bisection.
+                for panel in popped[first:]:
+                    left = panel[1] == al[i]
+                    end, far = (panel[1], panel[2]) if left else (panel[2], panel[1])
+                    mids = [far, 0.5 * (end + far)]  # the pop paid for this one
+                    while len(mids) <= _END_LEVELS and room:
+                        mid = 0.5 * (end + mids[-1])
+                        if not (end < mid < mids[-1] or mids[-1] < mid < end):
+                            break
+                        mids.append(mid)
+                        room -= 1
+                    levels = len(mids) - 1
+                    chains.append((state, panel, len(ca), levels))
+                    # inner halves, then end halves, each deepest last
+                    outer, near = mids[:-1], mids[1:]
+                    ends = [end] * levels
+                    ca += near + ends if left else outer + near
+                    cb += outer + near if left else near + ends
+                del popped[first:]
+                n = 0
             state[3] = budget - room
-            if len(popped) > first:
-                owners.append((state, len(popped) - first))
-        if not popped:
+            if n:
+                owners.append((state, n))
+        if not (popped or chains):
             continue
-        neg_err, pa, pb, pk, _ = np.array(popped).T
+        neg_err, pa, pb, pk, _ = np.array(popped).reshape(-1, 5).T
         mid = 0.5 * (pa + pb)
-        a2, b2 = np.concatenate((pa, mid)), np.concatenate((mid, pb))
+        a2, b2 = np.concatenate((pa, mid, ca)), np.concatenate((mid, pb, cb))
         k, e, r = _panels(fn, a2, b2)
         m = len(popped)
-        gain = (k[:m] + k[m:] - pk).tolist()
-        gain_err = (e[:m] + e[m:] + neg_err).tolist()
+        gain = (k[:m] + k[m : 2 * m] - pk).tolist()
+        gain_err = (e[:m] + e[m : 2 * m] + neg_err).tolist()
         # Halves as heap entries: the left one of popped[j] is halves[j],
-        # the right one halves[m + j].
+        # the right one halves[m + j]; chained halves follow from 2·m.
         halves = list(zip((-e).tolist(), a2.tolist(), b2.tolist(), k.tolist(), r.tolist()))
         j = 0
         for state, n in owners:
@@ -220,6 +258,16 @@ def integrate_many(
             for half in halves[j : j + n] + halves[m + j : m + j + n]:
                 heapq.heappush(heap, half)
             j += n
+        for state, panel, start, levels in chains:
+            # Kept: every inner half and the deepest end half; the other
+            # end halves were each replaced by their own two halves.
+            start += 2 * m
+            kept = halves[start : start + levels] + [halves[start + 2 * levels - 1]]
+            state[1] += math.fsum([h[3] for h in kept] + [-panel[3]])
+            state[2] += math.fsum([-h[0] for h in kept] + [panel[0]])
+            heap = state[0]
+            for half in kept:
+                heapq.heappush(heap, half)
     return values, errors
 
 
