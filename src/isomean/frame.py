@@ -230,7 +230,10 @@ def _endpoint_value(fvec, d: Interval, side: str, closed_value=None) -> float:
 
 
 def _probe_points(d: Interval, n: int = 5):
-    return d.clamp_inward(1e-3).interior_points(n)
+    """`n` evenly spaced points strictly inside `d` pulled in by 1e-3."""
+    box = d.clamp_inward(1e-3)
+    span = box.hi - box.lo
+    return [box.lo + span * k / (n + 1) for k in range(1, n + 1)]
 
 
 def _probe_inverse_expr(gm: "GeneratorMap", inv_expr: Expr) -> bool:

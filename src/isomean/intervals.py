@@ -88,70 +88,7 @@ class Interval:
             return False
         return True
 
-    def intersects(self, other: "Interval") -> bool:
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return False
-        if lo == hi:
-            # The single shared point must be closed on both sides.
-            lo_ok = (self.lo < lo or not self.lo_open) and (other.lo < lo or not other.lo_open)
-            hi_ok = (self.hi > hi or not self.hi_open) and (other.hi > hi or not other.hi_open)
-            return lo_ok and hi_ok
-        return True
-
-    def intersection(self, other: "Interval") -> "Interval":
-        """The common part of two overlapping intervals."""
-        if not self.intersects(other):
-            raise PreconditionError(f"intervals {self} and {other} do not overlap")
-        if self.lo > other.lo:
-            lo, lo_open = self.lo, self.lo_open
-        elif self.lo < other.lo:
-            lo, lo_open = other.lo, other.lo_open
-        else:
-            lo, lo_open = self.lo, self.lo_open or other.lo_open
-        if self.hi < other.hi:
-            hi, hi_open = self.hi, self.hi_open
-        elif self.hi > other.hi:
-            hi, hi_open = other.hi, other.hi_open
-        else:
-            hi, hi_open = self.hi, self.hi_open or other.hi_open
-        return Interval(lo, hi, lo_open, hi_open)
-
     # -- helpers ------------------------------------------------------------
-
-    def interior_points(self, n: int) -> list[float]:
-        """`n` points strictly inside the interval, suitable for sampling.
-
-        For unbounded intervals the points are taken from a compactifying
-        substitution so that they reach arbitrarily far out as `n` grows.
-        """
-        if n < 1:
-            return []
-        if self.degenerate:
-            return [self.lo] * n
-        lo, hi = self.lo, self.hi
-        pts: list[float] = []
-        if self.bounded:
-            span = hi - lo
-            for k in range(1, n + 1):
-                pts.append(lo + span * k / (n + 1))
-        elif math.isinf(lo) and math.isinf(hi):
-            # Map t in (-1, 1) onto the whole line via t / (1 - t^2).
-            for k in range(1, n + 1):
-                t = -1.0 + 2.0 * k / (n + 1)
-                pts.append(t / (1.0 - t * t))
-        elif math.isinf(hi):
-            # Map u in (0, 1) onto (lo, inf) via lo + u / (1 - u).
-            for k in range(1, n + 1):
-                u = k / (n + 1)
-                pts.append(lo + u / (1.0 - u))
-        else:
-            # Mirror image for (-inf, hi).
-            for k in range(1, n + 1):
-                u = k / (n + 1)
-                pts.append(hi - u / (1.0 - u))
-        return pts
 
     def clamp_inward(self, eps: float) -> "Interval":
         """A closed bounded interval pulled inside `self` by `eps` at any

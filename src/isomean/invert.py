@@ -242,12 +242,12 @@ def invert_monotone(
     A candidate that lies in `d` and meets :func:`residual_ok` is taken as
     it is.  The other targets are bracketed between neighbours of one
     ladder of points (:func:`_ladder`) and solved by Newton steps from the
-    secant point of their bracket.  A step that leaves the bracket is
-    replaced by bisection, and every evaluation shrinks the bracket.  A
-    point is accepted when it meets :func:`residual_ok`, or when its
-    bracket has collapsed to 8 ulps (the residual is then limited by the
-    evaluation, not the search).  After 200 steps a residual within a mixed
-    1e-9 is still accepted.
+    secant point of their bracket.  A step that leaves the bracket, or is
+    longer than half the step before it, is replaced by bisection, and
+    every evaluation shrinks the bracket.  A point is accepted when it
+    meets :func:`residual_ok`, or when its bracket has collapsed to 8 ulps
+    (the residual is then limited by the evaluation, not the search).
+    After 200 steps a residual within a mixed 1e-9 is still accepted.
     """
     u = np.asarray(us, dtype=float)
     if x0 is None:
@@ -285,6 +285,7 @@ def _solve(fvec, dvec, d, u, increasing, idx, out) -> None:
     # The secant point of the bracket, or its middle where that fails.
     x = lo + (hi - lo) * ((t - vlo) / (vhi - vlo))
     np.copyto(x, 0.5 * (lo + hi), where=~((x >= lo) & (x <= hi)))
+    step = hi - lo  # the bracket stands in for the step before the first
     for _ in range(200):
         if not idx.size:
             return
@@ -297,17 +298,21 @@ def _solve(fvec, dvec, d, u, increasing, idx, out) -> None:
         np.copyto(hi, x, where=above)
         np.copyto(lo, x, where=~above)
         xn = x - r / dvec(x)
-        inside = (xn > lo) & (xn < hi)
-        if np.count_nonzero(inside) != inside.size:
-            # Bisect where the Newton step leaves the bracket, and accept x
-            # where the bracket has collapsed onto it.
-            np.copyto(xn, 0.5 * (lo + hi), where=~inside)
+        # Bisect where the Newton step leaves the bracket or is longer than
+        # half the step before it (Newton crawling in from an overflow),
+        # and accept x where the bracket has collapsed onto it.
+        bisect = ~((xn > lo) & (xn < hi) & (np.abs(xn - x) <= 0.5 * step))
+        if np.count_nonzero(bisect):
+            np.copyto(xn, 0.5 * (lo + hi), where=bisect)
             width = 8.0 * np.spacing(np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
-            done |= ~inside & (hi - lo <= width)
+            done |= bisect & (hi - lo <= width)
+        step = np.abs(xn - x)
         if np.count_nonzero(done):
             out[idx[done]] = x[done]
             keep = ~done
-            idx, u, tol, lo, hi, xn = (a[keep] for a in (idx, u, tol, lo, hi, xn))
+            idx, u, tol, lo, hi, xn, step = (
+                a[keep] for a in (idx, u, tol, lo, hi, xn, step)
+            )
         x = xn
     ok = np.abs(fvec(x) - u) <= np.maximum(1e-9, 1e-9 * np.abs(u))
     out[idx[ok]] = x[ok]

@@ -4,17 +4,19 @@ The integrator, `integrate_many`, is a globally adaptive Gauss–Kronrod
 7/15 scheme over many segments at once; `integrate` is its one-segment
 case.  Every round makes one call of the integrand on the nodes of all the
 panels it evaluates: first one panel per segment, then, in each segment
-still short of its target, the halves of every panel whose error is at
-least half that segment's worst.  That is hundreds of panels a round on an
-oscillation.  At an endpoint singularity it is only the panel at the end
-of the segment (or the two end panels), and halving it round after round
-would cost a call per level; so when a segment's panels of the round all
-touch its own ends, each is bisected up to eight times toward its end in
-that one call, each bisection counted as one split.  Each segment keeps its
+still short of its target, the pieces of every panel whose error is at
+least half that segment's worst.  A panel is cut at its midpoint, so that
+is hundreds of halves a round on an oscillation.  At an endpoint
+singularity it is only the panel at the end of the segment (or the two end
+panels), and halving it round after round would cost a call per level; so
+when a segment's panels of the round all touch its own ends, each is also
+cut at up to seven further halvings toward its end, each halving counted
+as one split.  The round evaluates just the pieces it keeps: the inner
+halves of those halvings and the last end piece.  Each segment keeps its
 own worst-first heap of panels, target and split budget, so its result does
 not depend on the other segments of the call.  Kronrod nodes are strictly
 interior, so integrable endpoint singularities (ln x at 0, 1/sqrt(x)) need
-no special casing beyond that chaining.  Final summation is `math.fsum`,
+no special casing beyond those cuts.  Final summation is `math.fsum`,
 which rounds the exact sum once, so the result does not depend on the order
 of the panels.
 
@@ -145,15 +147,15 @@ def integrate_many(
     its own target and its own budget of ``max_subdiv`` splits (default
     ``ISOMEAN_MAX_SUBDIV``, read once per call).  Each round pops, in every
     open segment, all panels whose error is at least half that segment's
-    worst, and evaluates all of their halves in one call of fn.  When those
-    are one or two panels at the segment's own ends, each is instead
-    bisected up to ``_END_LEVELS`` times toward its end in that call,
-    keeping the inner halves and the last end half.  Every bisection counts
-    as one split, and a chain stops short when the budget has no room left
-    or the end panel is too narrow to halve.  A segment
-    stops when its running error meets its target, its budget is spent or
-    its worst panel has no error left.  A segment with lo > hi integrates
-    with the sign flipped; one with lo == hi is 0 and costs no evaluation.
+    worst, cuts each at its midpoint, and evaluates all of the pieces in
+    one call of fn.  When those are one or two panels at the segment's own
+    ends, each is also cut at further halvings toward its end, up to
+    ``_END_LEVELS`` halvings in all.  Every halving counts as one split, and
+    the cuts stop short when the budget has no room left or the end piece
+    is too narrow to halve.  A segment stops when its running error meets
+    its target, its budget is spent or its worst panel has no error left.
+    A segment with lo > hi integrates with the sign flipped; one with
+    lo == hi is 0 and costs no evaluation.
 
     Raises DivergentIntegralError when a segment spends its budget more
     than 10⁴ times its target away, and DomainError when fn is not finite
@@ -187,10 +189,10 @@ def integrate_many(
     for i in np.flatnonzero(unmet).tolist():
         open_[i] = [[(-el[i], al[i], bl[i], kl[i], rl[i])], kl[i], el[i], 0]
     while open_:
-        popped = []  # the panels halved this round, segment after segment
-        owners = []  # (segment state, how many of them are its)
-        chains = []  # (segment state, end panel, its first half, levels)
-        ca, cb = [], []  # the ends of the chained halves
+        popped = []  # the panels cut this round, segment after segment
+        lefts, rights = [], []  # their pieces, panel after panel
+        starts = []  # where each popped panel's pieces start
+        owners = []  # (segment state, its popped panels, its pieces)
         for i, state in list(open_.items()):
             heap, total, total_err, splits = state
             worst = -heap[0][0]
@@ -203,71 +205,56 @@ def integrate_many(
                 values[i] = -v if flip[i] else v
                 del open_[i]
                 continue
-            cut, room, first = -0.5 * worst, budget - splits, len(popped)
+            cut, room, mine = -0.5 * worst, budget - splits, []
             while room and heap and heap[0][0] <= cut:
                 panel = heapq.heappop(heap)
                 if panel[1] < 0.5 * (panel[1] + panel[2]) < panel[2]:
-                    popped.append(panel)
+                    mine.append(panel)
                     room -= 1
                 else:
                     # Too narrow to halve: it stays, and its error is dropped.
                     heapq.heappush(heap, (0.0,) + panel[1:])
-            n = len(popped) - first
-            if n <= 2 and all((p[1] == al[i]) != (p[2] == bl[i]) for p in popped[first:]):
-                # Only end panels: bisect each toward its end up to
-                # _END_LEVELS times, one split a bisection.
-                for panel in popped[first:]:
-                    left = panel[1] == al[i]
-                    end, far = (panel[1], panel[2]) if left else (panel[2], panel[1])
-                    mids = [far, 0.5 * (end + far)]  # the pop paid for this one
-                    while len(mids) <= _END_LEVELS and room:
-                        mid = 0.5 * (end + mids[-1])
-                        if not (end < mid < mids[-1] or mids[-1] < mid < end):
+            # Only end panels: each is halved again toward its end, up to
+            # _END_LEVELS halvings in all, one split a halving.
+            chain = len(mine) <= 2 and all((p[1] == al[i]) != (p[2] == bl[i]) for p in mine)
+            before = len(lefts)
+            for _, pa, pb, _, _ in mine:
+                cuts = [0.5 * (pa + pb)]
+                if chain:
+                    end = pa if pa == al[i] else pb
+                    while len(cuts) < _END_LEVELS and room:
+                        mid = 0.5 * (end + cuts[-1])
+                        if not (end < mid < cuts[-1] or cuts[-1] < mid < end):
                             break
-                        mids.append(mid)
+                        cuts.append(mid)
                         room -= 1
-                    levels = len(mids) - 1
-                    chains.append((state, panel, len(ca), levels))
-                    # inner halves, then end halves, each deepest last
-                    outer, near = mids[:-1], mids[1:]
-                    ends = [end] * levels
-                    ca += near + ends if left else outer + near
-                    cb += outer + near if left else near + ends
-                del popped[first:]
-                n = 0
+                    if end == pa:
+                        cuts.reverse()
+                starts.append(len(lefts))
+                lefts.append(pa)
+                lefts += cuts
+                rights += cuts
+                rights.append(pb)
             state[3] = budget - room
-            if n:
-                owners.append((state, n))
-        if not (popped or chains):
+            if mine:
+                popped += mine
+                owners.append((state, len(mine), len(lefts) - before))
+        if not popped:
             continue
-        neg_err, pa, pb, pk, _ = np.array(popped).reshape(-1, 5).T
-        mid = 0.5 * (pa + pb)
-        a2, b2 = np.concatenate((pa, mid, ca)), np.concatenate((mid, pb, cb))
-        k, e, r = _panels(fn, a2, b2)
-        m = len(popped)
-        gain = (k[:m] + k[m : 2 * m] - pk).tolist()
-        gain_err = (e[:m] + e[m : 2 * m] + neg_err).tolist()
-        # Halves as heap entries: the left one of popped[j] is halves[j],
-        # the right one halves[m + j]; chained halves follow from 2·m.
-        halves = list(zip((-e).tolist(), a2.tolist(), b2.tolist(), k.tolist(), r.tolist()))
-        j = 0
-        for state, n in owners:
+        k, e, r = _panels(fn, *np.array((lefts, rights)))
+        neg_err, _, _, pk, _ = np.array(popped).T
+        # A cut panel's gains: its pieces' sums less its own value and error.
+        gain, gain_err = (np.add.reduceat((k, e), starts, axis=1) - (pk, -neg_err)).tolist()
+        pieces = list(zip((-e).tolist(), lefts, rights, k.tolist(), r.tolist()))
+        j = p = 0
+        for state, n, count in owners:
             state[1] += math.fsum(gain[j : j + n])
             state[2] += math.fsum(gain_err[j : j + n])
             heap = state[0]
-            for half in halves[j : j + n] + halves[m + j : m + j + n]:
-                heapq.heappush(heap, half)
+            for piece in pieces[p : p + count]:
+                heapq.heappush(heap, piece)
             j += n
-        for state, panel, start, levels in chains:
-            # Kept: every inner half and the deepest end half; the other
-            # end halves were each replaced by their own two halves.
-            start += 2 * m
-            kept = halves[start : start + levels] + [halves[start + 2 * levels - 1]]
-            state[1] += math.fsum([h[3] for h in kept] + [-panel[3]])
-            state[2] += math.fsum([-h[0] for h in kept] + [panel[0]])
-            heap = state[0]
-            for half in kept:
-                heapq.heappush(heap, half)
+            p += count
     return values, errors
 
 
@@ -327,11 +314,21 @@ def is_improper_near(fn, a: float, b: float, side: str) -> bool:
     return inner > 10.0 * max(outer, ref, 1e-300)
 
 
-#: Each window shrinks ε tenfold: ε_k = _SHRINK^−k·(b−a).
+#: Each window shrinks ε tenfold: ε_k = _SHRINK^−k·(b−a), for k from
+#: _K_FIRST to _K_LAST.
 _SHRINK = 10.0
+_K_FIRST, _K_LAST = 2, 12
+#: Three successive window values that agree within this (relative to the
+#: last) end the window sequence.
+_RAW_REL = 1e-8
 #: Two successive column-2 entries of the endpoint-limit tableau that agree
 #: within this (relative to max(1, |E|)) end the window sequence.
 _SETTLE_REL = 1e-9
+#: The best pair over all windows, when nothing settled: successive values
+#: within _NOISE_REL, else successive column-1 extrapolants within
+#: _EXTRAP_REL (both relative to max(1, |v|)).
+_NOISE_REL = 1e-7
+_EXTRAP_REL = 2e-6
 
 
 def _at_t0(t1: float, v1: float, t2: float, v2: float) -> float:
@@ -343,17 +340,12 @@ def endpoint_limit(
     value_on: Callable[[float, float], float],
     a: float,
     b: float,
-    k_start: int = 2,
-    k_end: int = 12,
-    raw_rel: float = 1e-8,
-    noise_rel: float = 1e-7,
-    extrap_rel: float = 2e-6,
 ) -> Tuple[float, float, str]:
     """Limit of value_on([a+ε, b−ε]) as ε → 0 over shrinking windows.
 
-    Both endpoints shrink together along ε_k = 10^−k·(b−a), k = k_start..
-    k_end, which keeps limits well-defined for quantities that depend on
-    the endpoint path.  Windows are evaluated lazily, each adding one row
+    Both endpoints shrink together along ε_k = 10^−k·(b−a), k = 2..12,
+    which keeps limits well-defined for quantities that depend on the
+    endpoint path.  Windows are evaluated lazily, each adding one row
     to a Richardson tableau:
 
     * column 0 holds the window value v_k;
@@ -367,24 +359,24 @@ def endpoint_limit(
     DomainError or DivergentIntegralError, or is not finite, restarts
     columns 1 and 2.  The sequence stops at the first window where
 
-    * the last three values agree pairwise within ``raw_rel``·|v|
+    * the last three values agree pairwise within ``_RAW_REL``·|v|
       (stage "raw", the last difference as the error estimate), or
     * the last two column-2 entries agree within ``_SETTLE_REL``·max(1, |E|)
       (stage "extrapolated", their difference, floored at 50 ulps, as the
       estimate).
 
-    When neither happens by k_end, as for a sequence whose remainder is not
-    O(ε), the best pair over all windows decides: the closest successive
-    values if within ``noise_rel`` ("noise-floor"), else the closest
-    successive column-1 extrapolants, over any two successive evaluated
-    windows, if within ``extrap_rel`` ("extrapolated").  Returns (value,
-    error_estimate, stage); raises DivergentIntegralError when nothing
-    stabilizes.
+    When neither happens by k = 12, as for a sequence whose remainder is
+    not O(ε), the best pair over all windows decides: the closest
+    successive values if within ``_NOISE_REL`` ("noise-floor"), else the
+    closest successive column-1 extrapolants, over any two successive
+    evaluated windows, if within ``_EXTRAP_REL`` ("extrapolated").
+    Returns (value, error_estimate, stage); raises DivergentIntegralError
+    when nothing stabilizes.
     """
     span = b - a
     records = []  # (k, t, value)
     col1, col2 = [], []  # tableau columns over the current consecutive run
-    for k in range(k_start, k_end + 1):
+    for k in range(_K_FIRST, _K_LAST + 1):
         eps = span * _SHRINK ** (-k)
         ak, bk = a + eps, b - eps
         if not (ak < bk):
@@ -404,9 +396,9 @@ def endpoint_limit(
             v1, v2, v3 = (r[2] for r in records[-3:])
             scale = max(abs(v3), 1e-300)
             if (
-                abs(v3 - v2) <= raw_rel * scale
-                and abs(v2 - v1) <= raw_rel * scale
-                and abs(v3 - v1) <= raw_rel * scale
+                abs(v3 - v2) <= _RAW_REL * scale
+                and abs(v2 - v1) <= _RAW_REL * scale
+                and abs(v3 - v1) <= _RAW_REL * scale
             ):
                 return v3, max(abs(v3 - v2), 1e-16 * scale), "raw"
         if len(records) < 2 or records[-2][0] != k - 1 or records[-2][1] == t:
@@ -429,7 +421,7 @@ def endpoint_limit(
         abs(vals[i + 1] - vals[i]) / max(1.0, abs(vals[i + 1])) for i in range(len(vals) - 1)
     ]
     i_min = int(np.argmin(rel_deltas))
-    if rel_deltas[i_min] <= noise_rel:
+    if rel_deltas[i_min] <= _NOISE_REL:
         v = vals[i_min + 1]
         return v, rel_deltas[i_min] * max(1.0, abs(v)), "noise-floor"
     extr = []
@@ -444,7 +436,7 @@ def endpoint_limit(
             abs(extr[i + 1] - extr[i]) / max(1.0, abs(extr[i + 1])) for i in range(len(extr) - 1)
         ]
         j = int(np.argmin(e_deltas))
-        if e_deltas[j] <= extrap_rel:
+        if e_deltas[j] <= _EXTRAP_REL:
             v = extr[j + 1]
             return v, e_deltas[j] * max(1.0, abs(v)), "extrapolated"
     raise DivergentIntegralError(

@@ -164,6 +164,39 @@ def test_map_overflowing_inside_an_unbounded_domain_inverts():
     np.testing.assert_allclose(vector, scalar, rtol=0, atol=1e-11)
 
 
+_HALF_LINE = Interval(0.0, math.inf, lo_open=True)
+
+
+@pytest.mark.parametrize(
+    "src, u",
+    [
+        # The ladder's top point, 1000, maps to +inf, so the secant start
+        # falls on the bracket's low end; Newton steps from the overflow
+        # side then shorten by about one unit each, and bisection must take
+        # over.
+        ("sinh(x)", 1e10),
+        ("cosh(x)", 1e10),
+        ("x+exp(x)", 1e3),
+        ("x+exp(x)", 1e6),
+        # Targets beyond the start box [0.001, 1000]: the ladder grows
+        ("x^3+x", 1e15),  # along the infinite end,
+        ("x+ln(x)", -50.0),  # tenfold toward the open 0,
+        ("exp(x)-exp(x)/2", 1e300),  # and back from inf − inf at 1000.
+    ],
+)
+def test_half_line_maps_invert_far_from_the_start_box(src, u):
+    g = generator_map(src, _HALF_LINE)
+    assert g.inverse_strategy == "bracketed-numeric"
+    x = g.invert(u)
+    assert residual_ok(g.value_many(np.array([x])), np.array([u])).all()
+
+
+def test_iso_mean_under_a_half_line_map_overflowing_at_1000():
+    g = generator_map("sinh(x)", _HALF_LINE)
+    want = math.asinh(0.5 * (math.sinh(1.0) + math.sinh(30.0)))
+    assert nummean.iso_mean((1.0, 30.0), g) == pytest.approx(want, rel=1e-14)
+
+
 def test_make_frame_accepts_prebuilt_maps():
     g = generator_map("x", Interval(0.0, 1.0))
     h = generator_map("y^2", Interval(0.0, 2.0))

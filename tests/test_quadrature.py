@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from isomean import quadrature
 from isomean._errors import DivergentIntegralError, DomainError
 from isomean.bivariate import Antiderivative
 from isomean.funmean import plain_mean
@@ -226,9 +227,18 @@ def _counted(fn):
     return counted, seen
 
 
-def _splits(points: int, segments: int = 1) -> int:
-    """Splits behind a point count: 15 nodes per panel, two panels a split."""
-    return (points // 15 - segments) // 2
+@pytest.fixture
+def splits(monkeypatch):
+    """The splits of every segment that quadrature refines, as each ends."""
+    seen = []
+    finish = quadrature._finish
+
+    def recorded(heap, splits, *args):
+        seen.append(splits)
+        return finish(heap, splits, *args)
+
+    monkeypatch.setattr(quadrature, "_finish", recorded)
+    return seen
 
 
 def _root_sin_inv(x):
@@ -241,16 +251,18 @@ def _root_sin_inv(x):
 _SEGMENTS = [(3.0, 3.5), (0.02, 0.5), (1.0, 1.0), (2.0, 0.5), (0.005, 0.05)]
 
 
-def test_integrate_many_is_bit_identical_to_one_integrate_per_segment():
+def test_integrate_many_is_bit_identical_to_one_integrate_per_segment(splits):
     lo, hi = (np.array(ends) for ends in zip(*_SEGMENTS))
     values, errors = integrate_many(_root_sin_inv, lo, hi)
     points = []
     for i, (a, b) in enumerate(_SEGMENTS):
         fn, seen = _counted(_root_sin_inv)
+        splits.clear()
         assert (values[i], errors[i]) == integrate(fn, a, b)
         points.append(seen[1])
+        if i % 2:
+            assert splits and splits[0] > 0, (a, b)
     assert points[0] == 15 and points[2] == 0
-    assert min(_splits(p) for p in points[1::2]) > 0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -260,20 +272,19 @@ def test_integrate_many_raises_on_a_non_finite_node_in_any_segment():
         integrate_many(lambda x: 1.0 / (np.asarray(x) - 0.5), [1.0, 0.4], [2.0, 0.6])
 
 
-def test_integrate_many_budget_applies_per_segment():
+def test_integrate_many_budget_applies_per_segment(splits):
     def hard(x):
         x = np.asarray(x)
         return np.sin(50.0 * x) / (1.0 + x**2)
 
-    fn, seen = _counted(hard)
-    want = integrate(fn, 0.0, 6.0)
-    need = _splits(seen[1])
+    want = integrate(hard, 0.0, 6.0)
+    [need] = splits
     assert need > 2
     # each of three copies gets the splits one needs: a shared budget of
     # that size would leave two of them far from their target
-    fn, seen = _counted(hard)
-    values, errors = integrate_many(fn, [0.0] * 3, [6.0] * 3, max_subdiv=need)
-    assert _splits(seen[1], 3) == 3 * need
+    splits.clear()
+    values, errors = integrate_many(hard, [0.0] * 3, [6.0] * 3, max_subdiv=need)
+    assert splits == [need] * 3
     assert all((v, e) == want for v, e in zip(values, errors))
     with pytest.raises(DivergentIntegralError, match="all 2 subdivisions"):
         integrate_many(hard, [0.0, 0.0], [1.0, 6.0], max_subdiv=2)
@@ -285,10 +296,10 @@ def test_integrate_many_of_no_segments_calls_nothing():
     assert values.shape == errors.shape == (0,) and seen == [0, 0]
 
 
-def test_oscillatory_refinement_evaluates_many_splits_per_call():
+def test_oscillatory_refinement_evaluates_many_splits_per_call(splits):
     fn, seen = _counted(lambda x: np.sin(1.0 / np.asarray(x)))
     integrate(fn, 1e-3, 1.0)
-    assert seen[0] < _splits(seen[1])
+    assert seen[0] < splits[0]
 
 
 def test_mean_of_sin_inverse_x_against_its_closed_form():
@@ -326,19 +337,24 @@ def test_an_endpoint_singularity_refines_many_levels_per_call(fn, a, b, most_cal
     assert seen[0] <= most_calls
 
 
-def test_a_chain_splits_as_often_as_single_bisections():
+def test_a_chain_splits_as_often_as_single_bisections(splits):
     # 57 splits, as when each round halved just the end panel
-    fn, seen = _counted(_inv_sqrt)
-    integrate(fn, 0.0, 1.0)
-    assert _splits(seen[1]) == 57
+    integrate(_inv_sqrt, 0.0, 1.0)
+    assert splits == [57]
 
 
-def test_a_chain_never_overspends_the_budget():
+def test_a_chain_never_overspends_the_budget(splits):
     for s in range(1, 13):
         fn, seen = _counted(_inv_sqrt)
+        splits.clear()
         with pytest.raises(DivergentIntegralError, match=f"all {s} subdivisions"):
             integrate(fn, 0.0, 1.0, max_subdiv=s)
-        assert seen[1] == 15 * (1 + 2 * s), s
+        assert splits == [s]
+        # The first round halves [0, 1]; each later one cuts its end panel
+        # at up to eight points.  Every round evaluates one piece more than
+        # it makes splits, after the first panel.
+        calls = 2 + math.ceil((s - 1) / 8)
+        assert seen == [calls, 15 * (1 + s + (calls - 1))], s
     with pytest.raises(DivergentIntegralError):
         plain_mean("1/x", Interval(0.0, 1.0, lo_open=True))
 
