@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Optional, Union
+from functools import lru_cache, partial
+from typing import Callable, Union
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .frame import (
 )
 from .intervals import Interval, hull as hull_of
 from .parse import parse
-from .quadrature import endpoint_limit, integrate, max_subdivisions
+from .quadrature import endpoint_limit, integrate, max_subdivisions, window_integrals
 
 # A callable f is an array callable: values at an array of points, NaN where
 # f is undefined (see expr.as_vector_fn).
@@ -153,25 +153,28 @@ def _integrand(problem: MeanProblem) -> Callable[[np.ndarray], np.ndarray]:
     return phi
 
 
-def _direct_or_limit(mean_on, a: float, b: float):
+def _direct_or_limit(mean_on, integrand, a: float, b: float):
     """Evaluate ``mean_on`` on [a, b], or its limit on shrunken windows.
 
-    ``mean_on(ak, bk, max_subdiv)`` returns ``(value, error, detail)``.
+    ``mean_on(ak, bk, integral)`` returns ``(value, error, detail)``, where
+    ``integral(ak, bk)`` gives ∫ integrand over [ak, bk] and its error.
     Direct quadrature runs first: its nodes are interior, so integrable
     endpoint blow-ups need no limit.  The endpoint limit is taken only when
     the direct evaluation raises DomainError or InversionError (a map
     undefined at the boundary, a ratio outside the y-map's image); a
-    DivergentIntegralError propagates.  Each limit window is held to
-    ``min(_LIMIT_SUBDIV, max_subdivisions())`` subdivisions.
+    DivergentIntegralError propagates.  The limit's windows are integrated
+    over nested strips by :func:`quadrature.window_integrals`, each strip
+    held to ``min(_LIMIT_SUBDIV, max_subdivisions())`` subdivisions.
 
     Returns ``(value, error, method, detail)``.
     """
     try:
-        value, err, detail = mean_on(a, b)
+        value, err, detail = mean_on(a, b, partial(integrate, integrand))
         return value, err, "quadrature", detail
     except (DomainError, InversionError):
         budget = min(_LIMIT_SUBDIV, max_subdivisions())
-        value, err, stage = endpoint_limit(lambda ak, bk: mean_on(ak, bk, budget)[0], a, b)
+        integral_on = window_integrals(integrand, a, b, budget)
+        value, err, stage = endpoint_limit(lambda ak, bk: mean_on(ak, bk, integral_on)[0], a, b)
         return value, err, "quadrature+endpoint-limit", {"stage": stage}
 
 
@@ -192,17 +195,17 @@ def dvi_mean(problem: MeanProblem) -> MeanResult:
     phi = _integrand(problem)
     hull = problem.range_hull
 
-    def mean_on(ak: float, bk: float, max_subdiv: Optional[int] = None):
+    def mean_on(ak: float, bk: float, integral):
         dg = g(bk) - g(ak)
         if dg == 0.0:
             raise PreconditionError("x-map takes equal values at the endpoints")
-        total, err_i = integrate(phi, ak, bk, max_subdiv=max_subdiv)
+        total, err_i = integral(ak, bk)
         value = h.invert(total / dg)
         slope = abs(h.derivative_at(value))
         err = err_i / abs(dg) / max(slope, 1e-300)
         return value, err, {"numerator": total, "denominator": dg}
 
-    value, err, method, extra = _direct_or_limit(mean_on, a, b)
+    value, err, method, extra = _direct_or_limit(mean_on, phi, a, b)
     generalized = method != "quadrature" or max(abs(hull.lo), abs(hull.hi)) > _GENERALIZED_SPAN
     detail = {"range_hull": str(hull), "generalized": generalized, **extra}
     slack = max(1e-6, 1e-6 * abs(value), 10.0 * err)
@@ -412,16 +415,16 @@ def class_VII_mean(f: FnLike, fdomain: Interval) -> MeanResult:
         xs = np.asarray(xs, dtype=float)
         return xs * F.derivative_many(xs)
 
-    def mean_on(ak: float, bk: float, max_subdiv: Optional[int] = None):
+    def mean_on(ak: float, bk: float, integral):
         dF = F(bk) - F(ak)
         if dF == 0.0:
             raise PreconditionError("f takes equal values at the endpoints")
-        total, err_i = integrate(weight, ak, bk, max_subdiv=max_subdiv)
+        total, err_i = integral(ak, bk)
         t = total / dF
         err = abs(F.derivative_at(t)) * err_i / abs(dF) if math.isfinite(t) else math.inf
         return fscal(t), err, {"numerator": total, "denominator": dF}
 
-    value, err, method, detail = _direct_or_limit(mean_on, a, b)
+    value, err, method, detail = _direct_or_limit(mean_on, weight, a, b)
     if not math.isfinite(value):
         raise DomainError("mean point fell where f is not evaluable")
     return MeanResult(value, err, method, detail)

@@ -5,20 +5,23 @@ The integrator, `integrate_many`, is a globally adaptive Gauss–Kronrod
 case.  Every round makes one call of the integrand on the nodes of all the
 panels it evaluates: first one panel per segment, then, in each segment
 still short of its target, the pieces of every panel whose error is at
-least half that segment's worst.  A panel is cut at its midpoint, so that
-is hundreds of halves a round on an oscillation.  At an endpoint
-singularity it is only the panel at the end of the segment (or the two end
-panels), and halving it round after round would cost a call per level; so
-when a segment's panels of the round all touch its own ends, each is also
-cut at up to seven further halvings toward its end, each halving counted
-as one split.  The round evaluates just the pieces it keeps: the inner
-halves of those halvings and the last end piece.  Each segment keeps its
-own worst-first heap of panels, target and split budget, so its result does
-not depend on the other segments of the call.  Kronrod nodes are strictly
-interior, so integrable endpoint singularities (ln x at 0, 1/sqrt(x)) need
-no special casing beyond those cuts.  Final summation is `math.fsum`,
-which rounds the exact sum once, so the result does not depend on the order
-of the panels.
+least half that segment's worst or more than its share of the target.  A
+panel is cut at its midpoint, so that is hundreds of halves a round on an
+oscillation.  A panel at an end of its segment is also cut at up to seven
+further halvings toward that end (the first panel toward both), each
+halving counted as one split, so an endpoint singularity refines eight
+levels in one call.  Each end keeps the values of the dyadic pieces its
+chains have cut; when they shrink by a stable ratio below 1, Wynn's ε
+algorithm on their partial sums gives the end piece's integral and an
+error, as QUADPACK's ``dqags`` does, and the end piece takes them when that
+error beats its own Kronrod–Gauss difference.  A strong power blow-up
+(x^−0.9) then converges in one round, where bisection alone never corrects
+an end panel's estimate.  Each segment keeps its own heap of panels, target and
+split budget, so its result does not depend on the other segments of the
+call.  Kronrod nodes are strictly interior, so integrable endpoint
+singularities (ln x at 0, 1/sqrt(x)) need no special casing beyond those
+cuts.  Final summation is `math.fsum`, which rounds the exact sum once, so
+the result does not depend on the order of the panels.
 
 For genuinely improper endpoints (tan at π/2) the `endpoint_limit` driver
 evaluates the quantity on inward-shrunken windows ε_k = 10^−k·span,
@@ -30,6 +33,8 @@ remainder of those extrapolants.  It accepts three successive values within
 ("extrapolated").  Only when neither happens does it fall back to the best
 pair over all eleven windows: a rounding-noise floor (successive values
 within 1e-7, "noise-floor") or two linear extrapolants within 2e-6.
+`window_integrals` integrates those windows from nested strips, in two
+`integrate_many` calls at most.
 """
 
 from __future__ import annotations
@@ -92,9 +97,11 @@ DEFAULT_ABS_TOL = 1e-12
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_MAX_SUBDIV = 10**6
 
-#: A round that halves only end panels of a segment bisects each of them
-#: this many times toward its end, all in the round's one integrand call.
+#: A round bisects a panel at an end of its segment this many times toward
+#: that end, all in the round's one integrand call.
 _END_LEVELS = 8
+#: The ε table of a segment end reads the last this many inner-piece values.
+_TAIL_TERMS = 12
 
 ENV_MAX_SUBDIV = "ISOMEAN_MAX_SUBDIV"
 
@@ -145,17 +152,24 @@ def integrate_many(
     segment whose first panel meets ``max(abs_tol, rel_tol·|value|)`` is
     done.  Every other segment keeps its own worst-first heap of panels,
     its own target and its own budget of ``max_subdiv`` splits (default
-    ``ISOMEAN_MAX_SUBDIV``, read once per call).  Each round pops, in every
+    ``ISOMEAN_MAX_SUBDIV``, read once per call).  Each round cuts, in every
     open segment, all panels whose error is at least half that segment's
-    worst, cuts each at its midpoint, and evaluates all of the pieces in
-    one call of fn.  When those are one or two panels at the segment's own
-    ends, each is also cut at further halvings toward its end, up to
+    worst, and every panel whose error exceeded both its fair share
+    ``target·(b_p − a_p)/(b − a)`` and ``rel_tol`` times its integral of
+    |fn| when it was made.  All of the pieces are evaluated in one call of
+    fn.  When those panels outnumber the budget left, the round cuts the
+    ones within half of the worst and the worst of the others up to half of
+    the budget left.  A panel is cut at its midpoint; one at an end of the
+    segment is also cut at further halvings toward that end, up to
     ``_END_LEVELS`` halvings in all.  Every halving counts as one split, and
     the cuts stop short when the budget has no room left or the end piece
-    is too narrow to halve.  A segment stops when its running error meets
-    its target, its budget is spent or its worst panel has no error left.
-    A segment with lo > hi integrates with the sign flipped; one with
-    lo == hi is 0 and costs no evaluation.
+    is too narrow to halve.  After each such chain an end piece whose error
+    exceeds its share of the target may take the ε-extrapolated tail of the
+    chains' inner pieces (see ``_tail``).  A
+    segment stops when its running error meets its target, its budget is
+    spent or its worst panel has no error left.  A segment with lo > hi
+    integrates with the sign flipped; one with lo == hi is 0 and costs no
+    evaluation.
 
     Raises DivergentIntegralError when a segment spends its budget more
     than 10⁴ times its target away, and DomainError when fn is not finite
@@ -181,91 +195,179 @@ def integrate_many(
     if not np.count_nonzero(unmet):
         return values, errors
     budget = max_subdivisions() if max_subdiv is None else max_subdiv
-    # Per open segment: [heap, running value, running error, splits].  A
-    # panel is (−error, a, b, value, |fn| value); the panels of a segment
-    # never share a left end, so equal errors never compare further.
+    # Per open segment: [heap, fair, running value, running error, splits,
+    # its ends, and per end the values of the inner pieces its chains have
+    # cut].  A panel is (−error, a, b, value, |fn| value).  `fair` holds the
+    # panels that exceeded their share of the target when they were made,
+    # the heap all others, worst first; the panels of a segment never share
+    # a left end, so equal errors never compare further.
     open_ = {}
     al, bl, kl, el, rl = (x.tolist() for x in (a, b, k, e, r))
     for i in np.flatnonzero(unmet).tolist():
-        open_[i] = [[(-el[i], al[i], bl[i], kl[i], rl[i])], kl[i], el[i], 0]
+        panel = (-el[i], al[i], bl[i], kl[i], rl[i])
+        open_[i] = [[panel], [], kl[i], el[i], 0, (al[i], bl[i]), ([], [])]
     while open_:
-        popped = []  # the panels cut this round, segment after segment
-        lefts, rights = [], []  # their pieces, panel after panel
-        starts = []  # where each popped panel's pieces start
-        owners = []  # (segment state, its popped panels, its pieces)
+        lefts, rights = [], []  # the pieces of the round, panel after panel
+        starts, cut = [], []  # where each cut panel's pieces start, and the panel
+        owners = []  # (segment state, end of its cut panels, its pieces)
+        ends = []  # (terms, inner pieces from the outside in, end piece) per chain
         for i, state in list(open_.items()):
-            heap, total, total_err, splits = state
-            worst = -heap[0][0]
-            if (
-                total_err <= max(abs_tol, rel_tol * abs(total))
-                or splits >= budget
-                or worst <= 0.0
-            ):
-                v, errors[i] = _finish(heap, splits, budget, abs_tol, rel_tol)
+            heap, fair, total, total_err, splits, (sa, sb), terms = state
+            worst = -min(heap[:1] + fair[:1])[0]
+            target = max(abs_tol, rel_tol * abs(total))
+            if total_err <= target or splits >= budget or worst <= 0.0:
+                v, errors[i] = _finish(heap + fair, splits, budget, abs_tol, rel_tol)
                 values[i] = -v if flip[i] else v
                 del open_[i]
                 continue
-            cut, room, mine = -0.5 * worst, budget - splits, []
-            while room and heap and heap[0][0] <= cut:
-                panel = heapq.heappop(heap)
-                if panel[1] < 0.5 * (panel[1] + panel[2]) < panel[2]:
-                    mine.append(panel)
-                    room -= 1
+            # Cut the panels within half of the worst and the fair ones, the
+            # worst first.  When they outnumber the budget left, the round
+            # takes those within half of the worst and the worst of the rest
+            # up to half of it, so that a cap that binds is spent on the worst.
+            mine, cutoff, room = [], -0.5 * worst, budget - splits
+            share = target / (sb - sa)
+            while len(mine) <= room:
+                if heap and heap[0][0] <= cutoff and (not fair or heap[0] <= fair[0]):
+                    mine.append(heapq.heappop(heap))
+                elif fair:
+                    mine.append(heapq.heappop(fair))
                 else:
-                    # Too narrow to halve: it stays, and its error is dropped.
-                    heapq.heappush(heap, (0.0,) + panel[1:])
-            # Only end panels: each is halved again toward its end, up to
-            # _END_LEVELS halvings in all, one split a halving.
-            chain = len(mine) <= 2 and all((p[1] == al[i]) != (p[2] == bl[i]) for p in mine)
+                    break
+            if len(mine) > room:
+                within = next(j for j, p in enumerate(mine) if p[0] > cutoff or j == room)
+                for p in mine[max(room // 2, within) :]:
+                    heapq.heappush(fair, p)
+                del mine[max(room // 2, within) :]
             before = len(lefts)
-            for _, pa, pb, _, _ in mine:
-                cuts = [0.5 * (pa + pb)]
-                if chain:
-                    end = pa if pa == al[i] else pb
-                    while len(cuts) < _END_LEVELS and room:
-                        mid = 0.5 * (end + cuts[-1])
-                        if not (end < mid < cuts[-1] or cuts[-1] < mid < end):
-                            break
-                        cuts.append(mid)
-                        room -= 1
-                    if end == pa:
-                        cuts.reverse()
-                starts.append(len(lefts))
+            for p in mine:
+                pa, pb = p[1], p[2]
+                mid = 0.5 * (pa + pb)
+                if not pa < mid < pb:
+                    # Too narrow to halve: it stays, and its error is dropped.
+                    heapq.heappush(heap, (0.0,) + p[1:])
+                    continue
+                room -= 1
+                # An end panel is halved again toward each end of the
+                # segment it touches, up to _END_LEVELS halvings in all.
+                down = _halvings(pa, mid, room) if pa == sa else []
+                room -= len(down)
+                up = _halvings(pb, mid, room) if pb == sb else []
+                room -= len(up)
+                cuts = down[::-1] + [mid] + up
+                start = len(lefts)
+                starts.append(start)
+                cut.append(p)
                 lefts.append(pa)
                 lefts += cuts
                 rights += cuts
                 rights.append(pb)
-            state[3] = budget - room
-            if mine:
-                popped += mine
-                owners.append((state, len(mine), len(lefts) - before))
-        if not popped:
+                last = len(lefts) - 1
+                split = start + len(down) + 1  # the first piece above mid
+                if pa == sa:
+                    ends.append((terms[0], range(split - (pb == sb), start, -1), start, share))
+                if pb == sb:
+                    ends.append((terms[1], range(split if pa == sa else start, last), last, share))
+            state[4] = budget - room
+            if len(lefts) > before:
+                owners.append((state, len(cut), len(lefts) - before))
+        if not lefts:
             continue
         k, e, r = _panels(fn, *np.array((lefts, rights)))
-        neg_err, _, _, pk, _ = np.array(popped).T
+        kl = k.tolist()
+        for seq, inner, end, share in ends:
+            seq += [kl[j] for j in inner]
+            del seq[:-_TAIL_TERMS]
+            # An end piece within its share of the target has nothing to gain.
+            if e[end] > share * (rights[end] - lefts[end]):
+                tail = _tail(seq, e[end])
+                if tail is not None:
+                    k[end], e[end] = tail
+        neg_err, _, _, ck, _ = np.array(cut).T
         # A cut panel's gains: its pieces' sums less its own value and error.
-        gain, gain_err = (np.add.reduceat((k, e), starts, axis=1) - (pk, -neg_err)).tolist()
+        gain, gain_err = (np.add.reduceat((k, e), starts, axis=1) - (ck, -neg_err)).tolist()
         pieces = list(zip((-e).tolist(), lefts, rights, k.tolist(), r.tolist()))
         j = p = 0
         for state, n, count in owners:
-            state[1] += math.fsum(gain[j : j + n])
-            state[2] += math.fsum(gain_err[j : j + n])
-            heap = state[0]
+            state[2] += math.fsum(gain[j:n])
+            state[3] += math.fsum(gain_err[j:n])
+            # A piece is fair when its error exceeds its share of the target
+            # and rel_tol of its |fn| integral.  Near a divergent end a
+            # piece's error does not shrink with its width, so a share alone
+            # would cut those pieces until the budget is spent.
+            heap, fair, (sa, sb) = state[0], state[1], state[5]
+            share = max(abs_tol, rel_tol * abs(state[2])) / (sb - sa)
             for piece in pieces[p : p + count]:
-                heapq.heappush(heap, piece)
-            j += n
+                err = -piece[0]
+                fits = err > share * (piece[2] - piece[1]) and err > rel_tol * piece[4]
+                heapq.heappush(fair if fits else heap, piece)
+            j = n
             p += count
     return values, errors
 
 
-def _finish(heap, splits: int, budget: int, abs_tol: float, rel_tol: float):
+def _halvings(end: float, cut: float, room: int) -> list:
+    """Up to ``_END_LEVELS − 1`` and at most ``room`` successive halvings of
+    [end, cut] toward end, stopping where a halving rounds onto a bound."""
+    cuts = []
+    while len(cuts) < min(_END_LEVELS - 1, room):
+        mid = 0.5 * (end + cut)
+        if not (end < mid < cut or cut < mid < end):
+            break
+        cuts.append(mid)
+        cut = mid
+    return cuts
+
+
+def _tail(terms: list, own: float):
+    """Wynn-ε estimate of the sum of the terms that would follow ``terms``,
+    and its error, where that error is below ``own``; else None.
+
+    ``terms`` are the integrals of successive dyadic pieces toward one end
+    of a segment, so the sum of the terms that follow is the integral over
+    the end piece, and ``own`` is that piece's Kronrod–Gauss error.  Only
+    terms whose last four shrink by a stable ratio below 1 are read: the
+    three ratios lie in (0, 1) and within a quarter of the largest one's
+    distance from 1 of each other.  A ratio of 1 or more, or one that
+    drifts toward 1, is how a divergence looks.
+    The ε table is built on the partial sums less the last one, one
+    diagonal a term.  Each diagonal's estimate is its entry of highest even
+    order; as in QUADPACK's ``dqelg``, the error of the last is the sum of
+    its distances to the three before, floored at 50 ulps.
+    """
+    if len(terms) < 4 or 0.0 in terms[-4:]:
+        return None
+    t4, t3, t2, t1 = terms[-4:]
+    r1, r2, r3 = t3 / t4, t2 / t3, t1 / t2
+    least, most = min(r1, r2, r3), max(r1, r2, r3)
+    if not (0.0 < least and most < 1.0 and most - least <= 0.25 * (1.0 - most)):
+        return None
+    sums = [0.0]
+    for t in reversed(terms):
+        sums.append(sums[-1] - t)
+    estimates, previous = [], []
+    for s in reversed(sums):
+        row = [s]
+        for k, old in enumerate(previous):
+            d = row[k] - old
+            if abs(d) <= _ROUNDING_FLOOR * abs(old):
+                break  # converged to rounding: the next column is noise
+            row.append((previous[k - 1] if k else 0.0) + 1.0 / d)
+        estimates.append(row[(len(row) - 1) & ~1])
+        previous = row
+    value = estimates[-1]
+    err = math.fsum(abs(value - other) for other in estimates[-4:-1])
+    err = max(err, _ROUNDING_FLOOR * abs(value))
+    return (value, err) if err < own else None
+
+
+def _finish(panels, splits: int, budget: int, abs_tol: float, rel_tol: float):
     """Value and error estimate of one segment from its final panels.
 
     ``math.fsum`` rounds the exact sum once, so neither depends on the
     order of the panels, and so on the order of the splits.
     """
-    value = math.fsum(map(itemgetter(3), heap))
-    err = -math.fsum(map(itemgetter(0), heap))
+    value = math.fsum(map(itemgetter(3), panels))
+    err = -math.fsum(map(itemgetter(0), panels))
     target = max(abs_tol, rel_tol * abs(value))
     if err > target and splits >= budget and err > 1e4 * target:
         raise DivergentIntegralError(
@@ -275,7 +377,7 @@ def _finish(heap, splits: int, budget: int, abs_tol: float, rel_tol: float):
     # Kronrod–Gauss differences do not see rounding, which dominates when
     # the integrand cancels (ln tan over (0, π/2)).  As in QUADPACK, the
     # estimate is floored at 50 ulps of the integral of |fn|.
-    rounding = _ROUNDING_FLOOR * math.fsum(map(itemgetter(4), heap))
+    rounding = _ROUNDING_FLOOR * math.fsum(map(itemgetter(4), panels))
     return value, max(err, rounding)
 
 
@@ -336,6 +438,80 @@ def _at_t0(t1: float, v1: float, t2: float, v2: float) -> float:
     return v2 - t2 * (v2 - v1) / (t2 - t1)
 
 
+def _windows(a: float, b: float) -> list:
+    """The windows [a + ε_k, b − ε_k] of :func:`endpoint_limit`, for k from
+    _K_FIRST up to _K_LAST or the first window that is empty."""
+    span, out = b - a, []
+    for k in range(_K_FIRST, _K_LAST + 1):
+        eps = span * _SHRINK ** (-k)
+        ak, bk = a + eps, b - eps
+        if not ak < bk:
+            break
+        out.append((ak, bk))
+    return out
+
+
+#: window_integrals evaluates the first this many windows in one batch, the
+#: rest in a second.
+_FIRST_BATCH = 6
+
+
+def window_integrals(fn, a: float, b: float, max_subdiv: int | None = None):
+    """∫ fn over each window of :func:`endpoint_limit` on [a, b], from
+    nested strips.
+
+    Returns ``integral_on(ak, bk) -> (value, error)`` for those windows.
+    The core is the first window, and every later window adds the strips
+    [a + ε_k, a + ε_{k−1}] and [b − ε_{k−1}, b − ε_k] to the window before.
+    A window's value is the ``math.fsum`` of the core and its strips, so
+    successive windows differ by exactly their new strips and not by
+    independent quadrature noise; its error is the sum of theirs.  The
+    first ``_FIRST_BATCH`` windows take one :func:`integrate_many` call at
+    the first request, and the rest a second call, only when one of them
+    is requested.  Each window of a batch that raises DomainError or
+    DivergentIntegralError raises the same error, and so does each window
+    of the second batch when the first raised.
+    """
+    windows = _windows(a, b)
+    index = {w: i for i, w in enumerate(windows)}
+    done = []  # per evaluated window: its parts, as (value, error) pairs, or an error
+
+    def segments(i: int) -> list:
+        (qa, qb) = windows[i]
+        if i == 0:
+            return [(qa, qb)]
+        pa, pb = windows[i - 1]
+        return [(qa, pa), (pb, qb)]
+
+    def evaluate(first: int, last: int) -> None:
+        if first and isinstance(done[-1], Exception):
+            done.extend([done[-1]] * (last - first))
+            return
+        groups = [segments(i) for i in range(first, last)]
+        lo, hi = zip(*(seg for group in groups for seg in group))
+        try:
+            values, errors = integrate_many(fn, lo, hi, max_subdiv=max_subdiv)
+        except (DomainError, DivergentIntegralError) as exc:
+            done.extend([exc] * (last - first))
+            return
+        pairs = iter(zip(values.tolist(), errors.tolist()))
+        parts = done[-1] if first else []
+        for group in groups:
+            parts = parts + [next(pairs) for _ in group]
+            done.append(parts)
+
+    def integral_on(ak: float, bk: float):
+        i = index[(ak, bk)]
+        while len(done) <= i:
+            evaluate(len(done), min(_FIRST_BATCH, len(windows)) if not done else len(windows))
+        parts = done[i]
+        if isinstance(parts, Exception):
+            raise parts
+        return math.fsum(v for v, _ in parts), math.fsum(e for _, e in parts)
+
+    return integral_on
+
+
 def endpoint_limit(
     value_on: Callable[[float, float], float],
     a: float,
@@ -373,14 +549,9 @@ def endpoint_limit(
     Returns (value, error_estimate, stage); raises DivergentIntegralError
     when nothing stabilizes.
     """
-    span = b - a
     records = []  # (k, t, value)
     col1, col2 = [], []  # tableau columns over the current consecutive run
-    for k in range(_K_FIRST, _K_LAST + 1):
-        eps = span * _SHRINK ** (-k)
-        ak, bk = a + eps, b - eps
-        if not (ak < bk):
-            break
+    for k, (ak, bk) in enumerate(_windows(a, b), _K_FIRST):
         try:
             v = value_on(ak, bk)
         except (DomainError, DivergentIntegralError):

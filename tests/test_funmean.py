@@ -6,7 +6,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from isomean import funmean
+from isomean import funmean, quadrature
 
 from isomean._errors import DivergentIntegralError, NotBondedError
 from isomean.expr import evaluate
@@ -354,6 +354,35 @@ def test_elastic_tangent_settles_in_fewer_than_eleven_windows(monkeypatch):
     assert r.method == LIMIT and r.detail["stage"] == "extrapolated"
     assert len(windows) < 11
     assert abs(r.value - 2.0 / math.pi) <= r.abs_error_estimate <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "mean",
+    [
+        lambda: elastic_mean("tan(x)", QUARTER_PERIOD),
+        lambda: class_VII_mean("sin(x)/x", Interval(0.0, 2.0, lo_open=True)),
+    ],
+    ids=["elastic tan", "class VII sin(x)/x"],
+)
+def test_strip_built_windows_match_one_integrate_each(monkeypatch, mean):
+    built = []
+    inner = funmean.window_integrals
+
+    def recording(fn, a, b, max_subdiv=None):
+        built.append((fn, a, b, max_subdiv))
+        return inner(fn, a, b, max_subdiv)
+
+    monkeypatch.setattr(funmean, "window_integrals", recording)
+    assert mean().method == LIMIT
+    [(fn, a, b, budget)] = built
+    integral_on = inner(fn, a, b, budget)
+    # Only the first batch: deeper, within 1e-8 of tan's pole at π/2, the
+    # rounding of the nodes' positions moves both integrals by more than
+    # either estimate, and the means settle before they reach it.
+    for ak, bk in quadrature._windows(a, b)[: quadrature._FIRST_BATCH]:
+        value, err = integral_on(ak, bk)
+        want, want_err = quadrature.integrate(fn, ak, bk, max_subdiv=budget)
+        assert abs(value - want) <= err + want_err, (ak, bk)
 
 
 def test_power_maps_stay_bounded_after_many_exponents():
