@@ -69,12 +69,13 @@ class QuasiStolarskyParams:
     b: float
 
     def __post_init__(self):
+        # Field by field, so that the first bad field is the one named.
+        fields = self.__dict__
         for name in ("p", "q", "a", "b"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
+            v = fields[name] = float(fields[name])
             if not math.isfinite(v):
                 raise PreconditionError(f"{name} must be finite, got {v}")
-        if self.a <= 0.0 or self.b <= 0.0:
+        if fields["a"] <= 0.0 or fields["b"] <= 0.0:
             raise PreconditionError("arguments must be positive")
 
 
@@ -186,7 +187,12 @@ def cauchy_mean_report(f, g, a: float, b: float) -> CauchyMean:
     d = Interval(lo, hi)
     fe = _as_expr(f, "f")
     ge = _as_expr(g, "g")
-    ratio = div(differentiate(fe), differentiate(ge))
+    return _mean_value_point(fe, ge, div(differentiate(fe), differentiate(ge)), a, b, d)
+
+
+def _mean_value_point(fe: Expr, ge: Expr, ratio: Expr, a: float, b: float, d: Interval) -> CauchyMean:
+    """The report of :func:`cauchy_mean_report` on the window d = [a, b]
+    (in either order), with `ratio` the tree of f′/g′."""
     try:
         rm = generator_map(ratio, d)
     except NonMonotoneError as exc:
@@ -309,9 +315,11 @@ def cauchy_to_classV(f, g, d: Interval) -> Tuple[GeneratorMap, float]:
         raise PreconditionError("the conversion needs a bounded non-degenerate window")
     fe = _as_expr(f, "f")
     ge = _as_expr(g, "g")
-    value_cauchy = cauchy_mean_value(fe, ge, d.lo, d.hi)
-    gm = g if isinstance(g, GeneratorMap) else generator_map(ge, d)
+    # One tree of f′/g′, so the Cauchy side's map of it is verified once
+    # and hm is that map or its restriction to d.
     ratio = div(differentiate(fe), differentiate(ge))
+    value_cauchy = _mean_value_point(fe, ge, ratio, d.lo, d.hi, Interval(d.lo, d.hi)).value
+    gm = g if isinstance(g, GeneratorMap) else generator_map(ge, d)
     hm = generator_map(ratio, d)
     value_pair = classV_bivariate(gm, hm, d.lo, d.hi)
     return hm, abs(value_cauchy - value_pair)

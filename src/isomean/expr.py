@@ -370,10 +370,12 @@ def compile_numpy(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
     callers doing grid work can mark bad points instead of aborting.
     """
     prog = _cached(e, "_prog", _lower)
+    # A program without steps (x, a constant) computes nothing that could warn.
+    run = _run_quietly if prog[1] else _run
 
     def compiled(x):
         arr = np.asarray(x, dtype=float)
-        out = _run_quietly(prog, arr, _ARRAY)
+        out = run(prog, arr, _ARRAY)
         if np.ndim(out) == 0:
             out = np.full_like(arr, float(out))
         return out

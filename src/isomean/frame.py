@@ -8,7 +8,16 @@ are built on: g transforms the independent axis, h the dependent axis.
 Verified maps and sampled value hulls are memoised in one bounded table
 (the last `_MEMO_SIZE` results), keyed on the expression object itself and
 the window, so repeated frames over the same maps are verified once.  The
-identity map is not verified: its answer is known (:func:`identity_map`).
+same table keeps, per expression object, the maps verified on its maximal
+windows (the last `_WINDOWS` of them).  A fresh window that one of them
+covers is not verified again: a strictly monotone map without a pole on a
+window is one on every sub-window, so the map is restricted (`_verified_map`)
+and only its image and the probe of its inversion steps are computed on the
+new window.  The answer can then depend on history: x^3 on [-1e-6, 1e-6]
+raises NonMonotoneError on its own, since its derivative samples there
+read Unknown, but is the restriction of the verified map once [-1, 1] has
+been built.  The identity map is not verified: its answer is known
+(:func:`identity_map`).
 """
 
 from __future__ import annotations
@@ -43,6 +52,9 @@ BRACKETED_NUMERIC = "bracketed-numeric"
 _MEMO_SIZE = 256
 _memo: OrderedDict = OrderedDict()
 _memo_lock = threading.Lock()
+# Per expression, the memo keeps the maps verified on at most this many
+# windows, none covering another.
+_WINDOWS = 8
 
 
 def recall(table: OrderedDict, size: int, key: tuple, held: tuple, build):
@@ -254,11 +266,12 @@ def generator_map(source: Union[Expr, str], domain: Interval) -> GeneratorMap:
     """Build a verified GeneratorMap from an expression (or its text).
 
     The same expression object on the same window gives the same map
-    object, verified once (see `_memoised`).  The map x is not verified at
-    all: see :func:`identity_map`.
+    object, verified once (see `_memoised`), and a window inside one the
+    expression was verified on is not verified again (see `_verified_map`).
+    The map x is not verified at all: see :func:`identity_map`.
     """
     expr = parse(source) if isinstance(source, str) else source
-    return _memoised(_build_identity if expr.op == "var" else _build_map, expr, domain)
+    return _memoised(_build_identity if expr.op == "var" else _verified_map, expr, domain)
 
 
 def identity_map(d: Interval) -> GeneratorMap:
@@ -266,26 +279,65 @@ def identity_map(d: Interval) -> GeneratorMap:
     return _memoised(_build_identity, E.var(), d)
 
 
+# The identity's two views and its shape, shared by every identity map.
+_X_VIEW = compile_numpy(E.var())
+_ONE_VIEW = compile_numpy(differentiate(E.var()))
+_INCREASING = MonotonicityClass(STRICTLY_INCREASING, resolution=DEFAULT_SAMPLES)
+
+
 def _build_identity(x: Expr, d: Interval) -> GeneratorMap:
     """The map `x` on `d` as the verified build would find it: strictly
     increasing at the default resolution, no pole, inverted by the empty
-    step list.  Only the image is computed: an open end keeps the limit
-    the verified build takes toward it."""
+    step list.  Only the image is computed: a closed end is its own value,
+    and an open end keeps the limit the verified build takes toward it."""
     if d.degenerate:
         raise PreconditionError("a generator map needs a non-degenerate domain")
-    fvec = compile_numpy(x)
-    v_lo = _endpoint_value(fvec, d, "lo", d.lo)
-    v_hi = _endpoint_value(fvec, d, "hi", d.hi)
     return GeneratorMap(
         expr=x,
         domain=d,
-        image=Interval(v_lo, v_hi, d.lo_open, d.hi_open),
-        monotonicity=MonotonicityClass(STRICTLY_INCREASING, resolution=DEFAULT_SAMPLES),
+        image=Interval(
+            _limit_toward(_X_VIEW, d, "lo") if d.lo_open else d.lo,
+            _limit_toward(_X_VIEW, d, "hi") if d.hi_open else d.hi,
+            d.lo_open,
+            d.hi_open,
+        ),
+        monotonicity=_INCREASING,
         inverse_strategy=CLOSED_FORM,
-        _fvec=fvec,
-        _dvec=compile_numpy(differentiate(x)),
+        _fvec=_X_VIEW,
+        _dvec=_ONE_VIEW,
         _steps=(),
     )
+
+
+def _verified_map(expr: Expr, d: Interval) -> GeneratorMap:
+    """The map `expr` on `d`: the restriction of a map verified on a window
+    that covers `d`, else a verified build, kept among the expression's
+    maximal windows.  A build that raises is not kept.
+
+    A restriction keeps the verified map's shape, pole scan and views,
+    which hold on every sub-window, and computes again what a build on `d`
+    computes from d's ends (see `_on_window`).
+    """
+    key = (_verified_map, id(expr))
+    if not d.degenerate:
+        with _memo_lock:
+            hit = _memo.get(key)
+            wide = None
+            if hit is not None and hit[0][0] is expr:
+                _memo.move_to_end(key)
+                wide = next((gm for gm in hit[1] if gm.domain.covers(d)), None)
+        if wide is not None:
+            return _on_window(expr, d, wide.monotonicity, wide._fvec, wide._dvec)
+    gm = _build_map(expr, d)
+    with _memo_lock:
+        hit = _memo.get(key)
+        kept = hit[1] if hit is not None and hit[0][0] is expr else []
+        kept = ([old for old in kept if not d.covers(old.domain)] + [gm])[-_WINDOWS:]
+        _memo[key] = ((expr,), kept)
+        _memo.move_to_end(key)
+        while len(_memo) > _MEMO_SIZE:
+            _memo.popitem(last=False)
+    return gm
 
 
 def _build_map(expr: Expr, domain: Interval) -> GeneratorMap:
@@ -317,8 +369,13 @@ def _build_map(expr: Expr, domain: Interval) -> GeneratorMap:
     ys = fvec(sample_grid(domain, 33))
     if np.any(np.diff(ys[np.isfinite(ys)]) * mono.direction < 0):
         raise DomainError(f"map {expr} has a pole or jump inside {domain}")
-    dvec = compile_numpy(differentiate(expr))
+    return _on_window(expr, domain, mono, fvec, compile_numpy(differentiate(expr)))
 
+
+def _on_window(expr: Expr, domain: Interval, mono: MonotonicityClass, fvec, dvec) -> GeneratorMap:
+    """The map of verified shape `mono` on `domain`: its image from the
+    closed ends' values or the open ends' limits, and its closed-form
+    inversion steps where they invert the map at the probe points."""
     closed_lo = None
     closed_hi = None
     if not domain.lo_open:
@@ -340,11 +397,11 @@ def _build_map(expr: Expr, domain: Interval) -> GeneratorMap:
 
     steps = closed_form_steps(expr)
     if steps is not None:
-        xs = np.asarray(_probe_points(domain))
-        us = fvec(xs)
-        ok = np.isfinite(us)
-        xs, back = xs[ok], apply_steps(steps, us[ok])
-        if not np.all(np.abs(back - xs) <= 1e-9 * (1.0 + np.abs(xs))):
+        xs = _probe_points(domain)
+        us = fvec(np.array(xs))
+        back = apply_steps(steps, us).tolist()
+        if not all(abs(bx - x) <= 1e-9 * (1.0 + abs(x))
+                   for x, u, bx in zip(xs, us.tolist(), back) if math.isfinite(u)):
             steps = None
     strategy = CLOSED_FORM if steps is not None else BRACKETED_NUMERIC
     return GeneratorMap(
@@ -443,7 +500,7 @@ def _range_hull(f, fdomain: Interval, samples: int) -> Interval:
                     extra.append(float(v))
     values = []
     if good.size:
-        values += [float(np.min(good)), float(np.max(good))]
+        values += [float(good.min()), float(good.max())]
     values += extra
     if not values:
         raise DomainError(f"function not evaluable anywhere on {fdomain}")

@@ -93,6 +93,8 @@ class Interval:
     def clamp_inward(self, eps: float) -> "Interval":
         """A closed bounded interval pulled inside `self` by `eps` at any
         open or infinite endpoint.  Handy for numeric probing."""
+        if not (self.lo_open or self.hi_open):
+            return self
         lo, hi = self.lo, self.hi
         if math.isinf(lo):
             lo = min(-1.0 / eps, hi - 1.0)

@@ -187,8 +187,15 @@ def integrate_many(
                 fn, lo[keep], hi[keep], abs_tol, rel_tol, max_subdiv
             )
         return values, errors
-    flip = lo > hi
-    k, e, r = _panels(fn, a, b)
+    return _refine(fn, a, b, lo > hi, _panels(fn, a, b), abs_tol, rel_tol, max_subdiv)
+
+
+def _refine(fn, a, b, flip, first, abs_tol, rel_tol, max_subdiv):
+    """The values and error estimates of :func:`integrate_many` on the
+    segments [a_i, b_i] (a_i < b_i, flipped where `flip`), whose first
+    panels gave ``first``, the (values, errors, |fn| values) of `_panels`.
+    Those panels are not evaluated again."""
+    k, e, r = first
     values = np.where(flip, -k, k)
     errors = np.maximum(e, _ROUNDING_FLOOR * r)
     unmet = e > np.maximum(abs_tol, rel_tol * np.abs(k))
@@ -391,11 +398,24 @@ def integrate(
 ) -> Tuple[float, float]:
     """∫_a^b fn(x) dx: the one-segment case of :func:`integrate_many`.
 
-    Returns (value, error_estimate).  Raises DivergentIntegralError when the
-    subdivision budget is exhausted far from tolerance, and DomainError when
-    the integrand is not finite at an interior node.
+    Returns (value, error_estimate), the floats `integrate_many` returns on
+    the one segment.  A first panel that meets ``max(abs_tol,
+    rel_tol·|value|)`` is the answer, returned at once, as QUADPACK's
+    ``dqags`` does; one that misses is handed to the refinement of
+    `integrate_many` and not evaluated again.  Raises
+    DivergentIntegralError when the subdivision budget is exhausted far
+    from tolerance, and DomainError when the integrand is not finite at an
+    interior node.
     """
-    values, errors = integrate_many(fn, a, b, abs_tol, rel_tol, max_subdiv)
+    a, b = float(a), float(b)
+    if a == b:
+        return 0.0, 0.0
+    lo, hi = np.array([min(a, b)]), np.array([max(a, b)])
+    first = _panels(fn, lo, hi)
+    k, e, r = (float(x[0]) for x in first)
+    if e <= max(abs_tol, rel_tol * abs(k)):
+        return (-k if a > b else k), max(e, _ROUNDING_FLOOR * r)
+    values, errors = _refine(fn, lo, hi, np.array([a > b]), first, abs_tol, rel_tol, max_subdiv)
     return float(values[0]), float(errors[0])
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from isomean import bivariate
+from isomean import bivariate, frame
 from isomean._errors import DomainError, PreconditionError
 from isomean.bivariate import (
     Antiderivative,
@@ -45,6 +45,32 @@ def test_parameter_validation():
         QuasiStolarskyParams(1.0, 2.0, 1.0, 0.0)
     with pytest.raises(PreconditionError, match="finite"):
         QuasiStolarskyParams(float("nan"), 1.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), math.inf, -math.inf])
+@pytest.mark.parametrize("field", range(4))
+def test_every_parameter_must_be_finite(field, bad):
+    args = [1.0, 2.0, 1.5, 3.0]
+    args[field] = bad
+    with pytest.raises(PreconditionError, match=f"^{'pqab'[field]} must be finite, got {bad}$"):
+        QuasiStolarskyParams(*args)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 2.0), (2.0, 0.0), (-1.0, 2.0), (2.0, -0.5), (-0.0, 1.0)])
+def test_arguments_must_be_positive(a, b):
+    with pytest.raises(PreconditionError, match="^arguments must be positive$"):
+        QuasiStolarskyParams(1.0, 2.0, a, b)
+
+
+def test_parameters_come_back_as_floats():
+    params = QuasiStolarskyParams(1, -2, 3, True)
+    assert [(type(v), v) for v in (params.p, params.q, params.a, params.b)] == [
+        (float, 1.0), (float, -2.0), (float, 3.0), (float, 1.0)
+    ]
+    # zero and negative exponents are valid
+    assert QuasiStolarskyParams(0, -0.5, 1, 2).p == 0.0
+    with pytest.raises(ValueError):
+        QuasiStolarskyParams("one", 2.0, 1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +316,25 @@ def test_secant_view_to_integral_view():
     m, residual = cauchy_to_classV("x^2", "x", Interval(1.0, 3.0))
     assert isinstance(m, GeneratorMap)
     assert residual < 1e-9
+
+
+def test_the_conversion_verifies_the_derivative_ratio_once(monkeypatch):
+    monkeypatch.setattr(frame, "_memo", type(frame._memo)())
+    builds = []
+    original = frame._build_map
+
+    def counting(e, d):
+        builds.append(str(e))
+        return original(e, d)
+
+    monkeypatch.setattr(frame, "_build_map", counting)
+    d = Interval(1.2, 2.3)
+    m, residual = cauchy_to_classV("exp(x)", "x^2", d)
+    # the base map x^2 and the ratio exp(x)/(2x), each once
+    assert len(builds) == 2
+    # the Cauchy side reads the same map: its value is cauchy_mean_value's
+    want = cauchy_mean_value("exp(x)", "x^2", d.lo, d.hi)
+    assert residual == abs(want - classV_bivariate(generator_map("x^2", d), m, d.lo, d.hi))
 
 
 def test_round_trip_values_agree():

@@ -9,7 +9,7 @@ import scipy.optimize
 
 from isomean import classify, compare, frame, funmean, nummean
 from isomean._errors import DomainError, NonMonotoneError, InversionError, PreconditionError
-from isomean.expr import differentiate, evaluate, var
+from isomean.expr import const, differentiate, evaluate, mul, var
 from isomean.frame import (
     check_bonded,
     estimate_range_hull,
@@ -480,6 +480,141 @@ def test_rebuilding_a_scenario_verifies_no_map_again(monkeypatch):
     assert first_build > 0
     assert second_build == 0
     assert second_compare <= first_compare
+
+
+# -- sub-windows of a verified window -------------------------------------------
+
+_POS = Interval(0.0, math.inf, lo_open=True)
+
+# (map, a verified window, a sub-window of it)
+RESTRICTIONS = (
+    ("ln(x)", _POS, Interval(0.0, 1.0, lo_open=True)),
+    ("ln(x)", _POS, Interval(2.0, 3.0, hi_open=True)),
+    ("x^2", _POS, Interval(0.5, 4.0)),
+    ("x^2", _POS, Interval(0.0, 2.0, lo_open=True)),
+    ("exp(-x)", Interval(-2.0, 6.0), Interval(0.0, 3.0, hi_open=True)),
+    ("1/x", _POS, Interval(0.25, 8.0)),
+    ("x+exp(x)", Interval(0.0, 5.0), Interval(1.0, 2.5)),
+)
+
+
+@pytest.fixture
+def monotonicity_calls(monkeypatch):
+    """A fresh memo, and the number of classify_monotonicity calls of the
+    frame module so far."""
+    monkeypatch.setattr(frame, "_memo", type(frame._memo)())
+    calls = [0]
+    original = frame.classify_monotonicity
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(frame, "classify_monotonicity", counting)
+    return calls
+
+
+@pytest.mark.parametrize("text, wide, d", RESTRICTIONS, ids=lambda v: str(v))
+def test_a_restricted_map_equals_a_fresh_build(text, wide, d, monotonicity_calls):
+    e = parse(text)
+    generator_map(e, wide)
+    assert monotonicity_calls == [1]
+    restricted = generator_map(e, d)
+    assert monotonicity_calls == [1]
+    assert generator_map(e, d) is restricted
+    fresh = frame._build_map(e, d)
+    assert monotonicity_calls == [2]
+    assert restricted == fresh
+    for a, b in ((restricted.domain, fresh.domain), (restricted.image, fresh.image)):
+        assert (a.lo_open, a.hi_open) == (b.lo_open, b.hi_open)
+        assert _same_float(a.lo, b.lo) and _same_float(a.hi, b.hi)
+    assert restricted.monotonicity == fresh.monotonicity
+    assert restricted.inverse_strategy == fresh.inverse_strategy
+    assert restricted._steps == fresh._steps
+    xs = classify.sample_grid(d, 257)
+    np.testing.assert_array_equal(restricted.value_many(xs), fresh.value_many(xs))
+    np.testing.assert_array_equal(restricted.derivative_many(xs), fresh.derivative_many(xs))
+    us = fresh.value_many(xs[1:-1:8])
+    for u in us[np.isfinite(us)].tolist():
+        assert _same_float(restricted.invert(u), fresh.invert(u)), u
+
+
+def test_the_inversion_strategy_is_read_on_the_sub_window(monotonicity_calls):
+    # x+exp(x) has no closed-form steps on any window; x^2.5 has them on both
+    for text, strategy in (("x+exp(x)", "bracketed-numeric"), ("x^2.5", "closed-form")):
+        e = parse(text)
+        assert generator_map(e, Interval(0.0, 5.0)).inverse_strategy == strategy
+        assert generator_map(e, Interval(1.0, 2.0)).inverse_strategy == strategy
+    assert monotonicity_calls == [2]
+
+
+def test_a_sub_window_query_verifies_nothing(monotonicity_calls):
+    e = parse("exp(x)")
+    generator_map(e, Interval(0.0, 4.0))
+    for k in range(20):
+        lo, hi = 0.1 * k, 2.0 + 0.1 * k
+        g = generator_map(e, Interval(lo, hi, lo_open=k % 2 == 1))
+        assert g.increasing and g.inverse_strategy == "closed-form"
+        assert g.image.hi == math.exp(hi)
+        if k % 2 == 0:
+            assert g.image.lo == math.exp(lo)
+    assert monotonicity_calls == [1]
+
+
+def test_a_window_too_narrow_to_classify_is_restricted_once_a_wider_one_is_verified(
+    monotonicity_calls,
+):
+    # Alone, 257 samples of 3x² on the tiny window read Unknown; once [-1, 1]
+    # is verified, its sub-windows hold what it holds.
+    e, tiny = parse("x^3"), Interval(-1e-6, 1e-6)
+    with pytest.raises(NonMonotoneError, match="Unknown"):
+        generator_map(e, tiny)
+    generator_map(e, Interval(-1.0, 1.0))
+    g = generator_map(e, tiny)
+    assert g.increasing and g.domain == tiny
+    assert (g.image.lo, g.image.hi) == (evaluate(e, -1e-6), evaluate(e, 1e-6))
+    with pytest.raises(NonMonotoneError, match="Unknown"):
+        frame._build_map(e, tiny)
+
+
+def test_a_window_nothing_covers_is_still_verified(monotonicity_calls):
+    recip, square = parse("1/x"), parse("x^2")
+    generator_map(recip, _POS)
+    generator_map(square, _POS)
+    with pytest.raises(DomainError, match="pole or jump"):
+        generator_map(recip, Interval(-1.0, 1.0))
+    with pytest.raises(NonMonotoneError):
+        generator_map(square, Interval(-1.0, 1.0))
+    # failed builds are not kept among the verified windows
+    for e in (recip, square):
+        assert [g.domain for g in frame._memo[(frame._verified_map, id(e))][1]] == [_POS]
+    # a degenerate window is built, and refused, as before
+    with pytest.raises(PreconditionError):
+        generator_map(square, Interval(1.0, 1.0))
+
+
+def test_the_verified_windows_stay_bounded(monkeypatch):
+    # The bound is bookkeeping, so builds are stubbed: a "verified" map here
+    # is a bare GeneratorMap on the asked window.
+    monkeypatch.setattr(frame, "_memo", type(frame._memo)())
+    monkeypatch.setattr(frame, "_build_map", lambda e, d: frame.GeneratorMap(e, d, d, None, ""))
+
+    def windows(e):
+        return [g.domain for g in frame._memo[(frame._verified_map, id(e))][1]]
+
+    e = parse("2*x+1")
+    for k in range(10_000):
+        generator_map(e, Interval(2.0 * k, 2.0 * k + 1.0))
+    last = range(10_000 - frame._WINDOWS, 10_000)
+    assert windows(e) == [Interval(2.0 * k, 2.0 * k + 1.0) for k in last]
+    # a wider window replaces the windows it covers
+    generator_map(e, Interval(19_990.0, 20_000.0))
+    assert windows(e)[-1] == Interval(19_990.0, 20_000.0) and len(windows(e)) < frame._WINDOWS
+    for k in range(10_000):
+        generator_map(mul(const(k + 2.0), var()), Interval(0.0, 1.0))
+    assert len(frame._memo) <= frame._MEMO_SIZE
+    kept = [v[1] for k, v in frame._memo.items() if k[0] is frame._verified_map and len(k) == 2]
+    assert kept and all(len(maps) <= frame._WINDOWS for maps in kept)
 
 
 # -- the identity map by proof -------------------------------------------------

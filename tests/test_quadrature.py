@@ -297,6 +297,45 @@ def test_integrate_many_of_no_segments_calls_nothing():
     assert values.shape == errors.shape == (0,) and seen == [0, 0]
 
 
+def _same_float(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@pytest.mark.parametrize("a, b", [(0.7, 2.3), (2.3, 0.7), (-1.0, 0.0), (3.0, 3.5), (3.5, 3.0)])
+def test_a_first_panel_that_converges_is_the_answer(a, b):
+    fn, seen = _counted(np.exp)
+    value, err = integrate(fn, a, b)
+    assert seen == [1, 15]
+    values, errors = integrate_many(np.exp, a, b)
+    assert _same_float(value, float(values[0])) and _same_float(err, float(errors[0]))
+    assert type(value) is float and type(err) is float
+
+
+def test_an_empty_segment_calls_nothing():
+    fn, seen = _counted(np.exp)
+    assert integrate(fn, 1.5, 1.5) == (0.0, 0.0) and seen == [0, 0]
+
+
+@pytest.mark.parametrize("a, b", [(0.02, 0.5), (0.5, 0.02)])
+def test_a_first_panel_that_misses_is_evaluated_once(a, b, splits):
+    # the midpoint of [a, b] is a node of the first panel and of no piece
+    mid = 0.5 * (a + b)
+    calls = []
+
+    def fn(xs):
+        calls.append(np.array(xs))
+        return _root_sin_inv(xs)
+
+    value, err = integrate(fn, a, b)
+    assert splits and splits[0] > 0
+    assert calls[0].size == 15
+    assert sum(int(np.count_nonzero(xs == mid)) for xs in calls) == 1
+    counted, seen = _counted(_root_sin_inv)
+    values, errors = integrate_many(counted, a, b)
+    assert (value, err) == (float(values[0]), float(errors[0]))
+    assert seen == [len(calls), sum(xs.size for xs in calls)]
+
+
 def test_oscillatory_refinement_evaluates_many_splits_per_call(splits):
     fn, seen = _counted(lambda x: np.sin(1.0 / np.asarray(x)))
     integrate(fn, 1e-3, 1.0)
