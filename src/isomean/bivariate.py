@@ -44,7 +44,7 @@ from .expr import (
     var,
 )
 from .frame import GeneratorMap, generator_map, make_frame
-from .funmean import MeanProblem, _as_map, _value_axis_window, class_V_mean, dvi_mean
+from .funmean import MeanProblem, _as_map, _value_map, class_V_mean, dvi_mean
 from .intervals import Interval
 from .parse import parse
 from .quadrature import integrate, integrate_many
@@ -341,10 +341,7 @@ def classV_to_cauchy(g, h, f, d: Interval) -> Tuple[Antiderivative, float]:
     fe = var() if f is None else _as_expr(f, "f")
     fm = generator_map(fe, d)
     fvec = as_vector_fn(fe)
-    if isinstance(h, GeneratorMap):
-        hm = h
-    else:
-        hm = generator_map(_as_expr(h, "h"), _value_axis_window(fe, d))
+    hm = _value_map(h if isinstance(h, GeneratorMap) else _as_expr(h, "h"), fe, d)
 
     if gm.expr is not None and hm.expr is not None:
         integrand = mul(substitute(hm.expr, fe), differentiate(gm.expr))

@@ -551,13 +551,3 @@ def hv_scaleshift(e: Expr, sv: ScaleShift, sh: ScaleShift) -> Expr:
     """Both axes: u ↦ k·f((u − Q)/p) + L with sv=(k, L), sh=(p, Q)."""
     return v_scaleshift(h_scaleshift(e, sh), sv)
 
-
-def h_scaleshift_interval(d, s: ScaleShift):
-    """Domain of h_scaleshift(e, s) given dom(e) = d: the image k·d + C."""
-    from .intervals import Interval
-
-    lo = s.k * d.lo + s.C
-    hi = s.k * d.hi + s.C
-    if s.k > 0:
-        return Interval(lo, hi, d.lo_open, d.hi_open)
-    return Interval(hi, lo, d.hi_open, d.lo_open)

@@ -1,23 +1,26 @@
-"""Isomorphic frames: validated monotone bijections and bonding checks.
+"""Isomorphic frames: validated monotone bijections and sampled value hulls.
 
 A GeneratorMap is one strictly monotone map (one axis of a frame) with its
 verified monotonicity, computed image, and an inversion strategy.  A Frame
 is an ordered tuple of such maps; a 2-D frame (g, h) is what function means
 are built on: g transforms the independent axis, h the dependent axis.
+Whether a frame covers a function is decided by `funmean.MeanProblem`.
 
 Verified maps and sampled value hulls are memoised in one bounded table
-(the last `_MEMO_SIZE` results), keyed on the expression object itself and
-the window, so repeated frames over the same maps are verified once.  The
-same table keeps, per expression object, the maps verified on its maximal
-windows (the last `_WINDOWS` of them).  A fresh window that one of them
-covers is not verified again: a strictly monotone map without a pole on a
-window is one on every sub-window, so the map is restricted (`_verified_map`)
-and only its image and the probe of its inversion steps are computed on the
-new window.  The answer can then depend on history: x^3 on [-1e-6, 1e-6]
-raises NonMonotoneError on its own, since its derivative samples there
-read Unknown, but is the restriction of the verified map once [-1, 1] has
-been built.  The identity map is not verified: its answer is known
-(:func:`identity_map`).
+(the last `_MEMO_SIZE` entries), and every entry is made and found by
+`recall`.  A hull or a build is keyed on the expression object itself and
+the window (`_memoised`), so repeated frames over the same maps are
+verified once.  One more entry per expression object, keyed on the object
+alone, holds the list of maps verified on its maximal windows (the last
+`_WINDOWS` of them); a build that raises adds no map to it.  A fresh window
+that one of them covers is not verified again: a strictly monotone map
+without a pole on a window is one on every sub-window, so the map is
+restricted (`_verified_map`) and only its image and the probe of its
+inversion steps are computed on the new window.  The answer can then
+depend on history: x^3 on [-1e-6, 1e-6] raises NonMonotoneError on its
+own, since its derivative samples there read Unknown, but is the
+restriction of the verified map once [-1, 1] has been built.  The identity
+map is not verified: its answer is known (:func:`identity_map`).
 """
 
 from __future__ import annotations
@@ -229,16 +232,15 @@ def _limit_toward(fvec, d: Interval, side: str) -> float:
     return vals[-1]
 
 
-def _endpoint_value(fvec, d: Interval, side: str, closed_value=None) -> float:
-    if side == "lo" and not d.lo_open:
-        if closed_value is None or not math.isfinite(closed_value):
-            raise DomainError(f"map undefined at the closed endpoint {d.lo}")
-        return closed_value
-    if side == "hi" and not d.hi_open:
-        if closed_value is None or not math.isfinite(closed_value):
-            raise DomainError(f"map undefined at the closed endpoint {d.hi}")
-        return closed_value
-    return _limit_toward(fvec, d, side)
+def _end_value(expr: Expr, fvec, d: Interval, side: str) -> float:
+    """The map's value at a closed end of `d`, its limit toward an open one."""
+    x, is_open = (d.lo, d.lo_open) if side == "lo" else (d.hi, d.hi_open)
+    if is_open:
+        return _limit_toward(fvec, d, side)
+    try:
+        return evaluate(expr, x)
+    except DomainError:
+        raise DomainError(f"map undefined at the closed endpoint {x}") from None
 
 
 def _probe_points(d: Interval, n: int = 5):
@@ -318,31 +320,20 @@ def _verified_map(expr: Expr, d: Interval) -> GeneratorMap:
     which hold on every sub-window, and computes again what a build on `d`
     computes from d's ends (see `_on_window`).
     """
-    key = (_verified_map, id(expr))
-    if not d.degenerate:
-        with _memo_lock:
-            hit = _memo.get(key)
-            wide = None
-            if hit is not None and hit[0][0] is expr:
-                _memo.move_to_end(key)
-                wide = next((gm for gm in hit[1] if gm.domain.covers(d)), None)
-        if wide is not None:
-            return _on_window(expr, d, wide.monotonicity, wide._fvec, wide._dvec)
+    if d.degenerate:
+        raise PreconditionError("a generator map needs a non-degenerate domain")
+    kept = recall(_memo, _MEMO_SIZE, (_verified_map, id(expr)), (expr,), list)
+    with _memo_lock:
+        wide = next((gm for gm in kept if gm.domain.covers(d)), None)
+    if wide is not None:
+        return _on_window(expr, d, wide.monotonicity, wide._fvec, wide._dvec)
     gm = _build_map(expr, d)
     with _memo_lock:
-        hit = _memo.get(key)
-        kept = hit[1] if hit is not None and hit[0][0] is expr else []
-        kept = ([old for old in kept if not d.covers(old.domain)] + [gm])[-_WINDOWS:]
-        _memo[key] = ((expr,), kept)
-        _memo.move_to_end(key)
-        while len(_memo) > _MEMO_SIZE:
-            _memo.popitem(last=False)
+        kept[:] = ([old for old in kept if not d.covers(old.domain)] + [gm])[-_WINDOWS:]
     return gm
 
 
 def _build_map(expr: Expr, domain: Interval) -> GeneratorMap:
-    if domain.degenerate:
-        raise PreconditionError("a generator map needs a non-degenerate domain")
     mono = classify_monotonicity(expr, domain)
     if not mono.is_strictly_monotone:
         # A map undefined on part of the domain can come out "NonMonotone"
@@ -376,20 +367,8 @@ def _on_window(expr: Expr, domain: Interval, mono: MonotonicityClass, fvec, dvec
     """The map of verified shape `mono` on `domain`: its image from the
     closed ends' values or the open ends' limits, and its closed-form
     inversion steps where they invert the map at the probe points."""
-    closed_lo = None
-    closed_hi = None
-    if not domain.lo_open:
-        try:
-            closed_lo = evaluate(expr, domain.lo)
-        except DomainError:
-            closed_lo = None
-    if not domain.hi_open:
-        try:
-            closed_hi = evaluate(expr, domain.hi)
-        except DomainError:
-            closed_hi = None
-    v_lo = _endpoint_value(fvec, domain, "lo", closed_lo)
-    v_hi = _endpoint_value(fvec, domain, "hi", closed_hi)
+    v_lo = _end_value(expr, fvec, domain, "lo")
+    v_hi = _end_value(expr, fvec, domain, "hi")
     if mono.is_strictly_increasing:
         img = Interval(v_lo, v_hi, domain.lo_open, domain.hi_open)
     else:
@@ -451,22 +430,6 @@ def make_frame(dms) -> Frame:
     return Frame(tuple(built))
 
 
-def invert_frame(fr: Frame) -> Frame:
-    return Frame(tuple(dm.inverse() for dm in fr.dms))
-
-
-@dataclass(frozen=True)
-class BondedReport:
-    """Whether f (on fdomain) is covered by the frame: the base must lie in
-    the g-map's domain and the value hull in the h-map's domain."""
-
-    bonded: bool
-    base_ok: bool
-    hull_ok: bool
-    range_hull: Interval
-    message: str
-
-
 def estimate_range_hull(f, fdomain: Interval, samples: int = 257) -> Interval:
     """Closed hull [inf M, sup M] of f's values over fdomain, sampled.
 
@@ -506,25 +469,3 @@ def _range_hull(f, fdomain: Interval, samples: int) -> Interval:
         raise DomainError(f"function not evaluable anywhere on {fdomain}")
     return hull(values)
 
-
-def check_bonded(f, fdomain: Interval, fr: Frame) -> BondedReport:
-    """Report whether the frame covers f: fdomain ⊆ dom(g) and the value
-    hull ⊆ dom(h)."""
-    if len(fr.dms) < 2:
-        raise PreconditionError("bonding check needs a 2-D frame")
-    m = estimate_range_hull(f, fdomain)
-    base_ok = fr.g.domain.covers(fdomain)
-    hull_ok = fr.h.domain.covers(m)
-    parts = []
-    if not base_ok:
-        parts.append(f"evaluation interval {fdomain} escapes the x-map domain {fr.g.domain}")
-    if not hull_ok:
-        parts.append(f"value hull {m} escapes the y-map domain {fr.h.domain}")
-    msg = "; ".join(parts) if parts else "bonded"
-    return BondedReport(
-        bonded=base_ok and hull_ok,
-        base_ok=base_ok,
-        hull_ok=hull_ok,
-        range_hull=m,
-        message=msg,
-    )

@@ -39,7 +39,6 @@ from .frame import (
     Frame,
     GeneratorMap,
     _limit_toward,
-    check_bonded,
     estimate_range_hull,
     generator_map,
     identity_map,
@@ -86,6 +85,9 @@ class MeanProblem:
     y-map's domain.  A hull or window that only *touches* an open map
     boundary (f vanishing at an endpoint under a log map, say) is accepted
     as well; evaluation then decides whether the boundary needs a limit.
+    The NotBondedError of a frame that does not cover the problem names
+    the side that escapes: the evaluation interval, the value hull, or
+    both.
     """
 
     f: FnLike
@@ -97,13 +99,16 @@ class MeanProblem:
         object.__setattr__(self, "f", _coerce_f(self.f))
         if len(self.frame.dms) < 2:
             raise PreconditionError("a mean problem needs a two-map frame")
-        report = check_bonded(self.f, self.fdomain, self.frame)
-        if not (
-            _covers_leniently(self.frame.g.domain, self.fdomain)
-            and _covers_leniently(self.frame.h.domain, report.range_hull)
-        ):
-            raise NotBondedError(report.message)
-        object.__setattr__(self, "_hull", report.range_hull)
+        g, h = self.frame.g, self.frame.h
+        hull = estimate_range_hull(self.f, self.fdomain)
+        escapes = []
+        if not _covers_leniently(g.domain, self.fdomain):
+            escapes.append(f"evaluation interval {self.fdomain} escapes the x-map domain {g.domain}")
+        if not _covers_leniently(h.domain, hull):
+            escapes.append(f"value hull {hull} escapes the y-map domain {h.domain}")
+        if escapes:
+            raise NotBondedError("; ".join(escapes))
+        object.__setattr__(self, "_hull", hull)
 
     @property
     def range_hull(self) -> Interval:
@@ -279,9 +284,12 @@ def _power_map(p: float) -> GeneratorMap:
 
 
 def _as_map(source, domain: Interval) -> GeneratorMap:
+    """The x-map `source` on the base window of `domain`; None stands for
+    the identity, and a GeneratorMap is taken as it is."""
     if isinstance(source, GeneratorMap):
         return source
-    return generator_map(source, _base_axis_window(domain))
+    window = _base_axis_window(domain)
+    return identity_map(window) if source is None else generator_map(source, window)
 
 
 def _base_axis_window(d: Interval) -> Interval:
@@ -298,77 +306,67 @@ def _base_axis_window(d: Interval) -> Interval:
     return Interval(a - pad, a + pad)
 
 
-def _value_axis_window(f: FnLike, fdomain: Interval, probe=None) -> Interval:
-    """A slightly widened hull of f's values, for building y-axis maps.
+def _value_map(source, f, fdomain: Interval) -> GeneratorMap:
+    """The y-map `source` on a slightly widened hull of f's values over
+    `fdomain`; None stands for the identity, and a GeneratorMap is taken as
+    it is.
 
     Widening keeps numerically computed means strictly inside the map's
-    domain; a side is only widened where the probe stays evaluable.
+    domain.  An end is only widened where the map stays evaluable, so a
+    constant f under a map undefined just below it keeps its value as the
+    window's end.
     """
+    if isinstance(source, GeneratorMap):
+        return source
     m = estimate_range_hull(f, fdomain)
-    if m.degenerate:
-        pad = 1e-3 * max(1.0, abs(m.lo))
-        return Interval(m.lo - pad, m.hi + pad)
-    pad = 1e-3 * (m.hi - m.lo)
+    pad = 1e-3 * (max(1.0, abs(m.lo)) if m.degenerate else m.hi - m.lo)
     lo, hi = m.lo - pad, m.hi + pad
-    if probe is not None:
-        fn = as_scalar_fn(probe)
-        try:
-            if not math.isfinite(fn(lo)):
-                lo = m.lo
-        except (ArithmeticError, DomainError):
-            lo = m.lo
-        try:
-            if not math.isfinite(fn(hi)):
-                hi = m.hi
-        except (ArithmeticError, DomainError):
-            hi = m.hi
-    return Interval(lo, hi)
+    if source is None:
+        return identity_map(Interval(lo, hi))
+    source = _coerce_f(source)
+    fn = as_scalar_fn(source)
+    lo = lo if _finite_at(fn, lo) else m.lo
+    hi = hi if _finite_at(fn, hi) else m.hi
+    return generator_map(source, Interval(lo, hi))
+
+
+def _finite_at(fn, x: float) -> bool:
+    try:
+        return math.isfinite(fn(x))
+    except (ArithmeticError, DomainError):
+        return False
+
+
+def _framed_mean(f: FnLike, fdomain: Interval, g=None, h=None) -> MeanResult:
+    """The mean of f under the x-map `g` and the y-map `h`, each built by
+    `_as_map` or `_value_map` (None is the identity)."""
+    f = _coerce_f(f)
+    fr = make_frame((_as_map(g, fdomain), _value_map(h, f, fdomain)))
+    return dvi_mean(MeanProblem(f, fdomain, fr))
 
 
 def class_I_mean(f: FnLike, fdomain: Interval, h) -> MeanResult:
     """Mean with the identity x-map: only the value axis is transformed."""
-    f = _coerce_f(f)
-    if isinstance(h, GeneratorMap):
-        hm = h
-    else:
-        h = parse(h) if isinstance(h, str) else h
-        hm = generator_map(h, _value_axis_window(f, fdomain, probe=h))
-    fr = make_frame((identity_map(_base_axis_window(fdomain)), hm))
-    return dvi_mean(MeanProblem(f, fdomain, fr))
+    return _framed_mean(f, fdomain, h=h)
 
 
 def class_II_mean(f: FnLike, fdomain: Interval, g) -> MeanResult:
     """Mean with the identity y-map: a g-weighted average of values."""
-    f = _coerce_f(f)
-    gm = _as_map(g, fdomain)
-    hm = identity_map(_value_axis_window(f, fdomain))
-    return dvi_mean(MeanProblem(f, fdomain, make_frame((gm, hm))))
+    return _framed_mean(f, fdomain, g=g)
 
 
 def class_III_mean(f: FnLike, fdomain: Interval, g) -> MeanResult:
-    """Mean with the same map on both axes."""
+    """Mean with the same map on both axes, built on the window that spans
+    both the evaluation window and f's value hull."""
     f = _coerce_f(f)
-    if isinstance(g, GeneratorMap):
-        gm = g
-    else:
-        m = estimate_range_hull(f, fdomain)
-        lo = min(fdomain.lo, m.lo)
-        hi = max(fdomain.hi, m.hi)
-        gm = generator_map(g, _base_axis_window(Interval(lo, hi)))
-    fr = make_frame((gm, gm))
-    return dvi_mean(MeanProblem(f, fdomain, fr))
+    m = estimate_range_hull(f, fdomain)
+    gm = _as_map(g, Interval(min(fdomain.lo, m.lo), max(fdomain.hi, m.hi)))
+    return dvi_mean(MeanProblem(f, fdomain, make_frame((gm, gm))))
 
 
 def class_IV_mean(f: FnLike, fdomain: Interval, g, h) -> MeanResult:
     """Mean under an arbitrary frame: both axes transformed independently."""
-    f = _coerce_f(f)
-    gm = _as_map(g, fdomain)
-    if isinstance(h, GeneratorMap):
-        hm = h
-    else:
-        h = parse(h) if isinstance(h, str) else h
-        hm = generator_map(h, _value_axis_window(f, fdomain, probe=h))
-    return dvi_mean(MeanProblem(f, fdomain, make_frame((gm, hm))))
+    return _framed_mean(f, fdomain, g=g, h=h)
 
 
 def class_V_mean(g, h, a: float, b: float) -> MeanResult:
@@ -382,19 +380,12 @@ def class_V_mean(g, h, a: float, b: float) -> MeanResult:
 
 def class_VI_mean(f: FnLike, fdomain: Interval) -> MeanResult:
     """Both maps the identity — an alias for the plain integral average."""
-    return plain_mean(f, fdomain)
+    return _framed_mean(f, fdomain)
 
 
 def plain_mean(f: FnLike, fdomain: Interval) -> MeanResult:
     """The ordinary integral average (both maps the identity)."""
-    f = _coerce_f(f)
-    fr = make_frame(
-        (
-            identity_map(_base_axis_window(fdomain)),
-            identity_map(_value_axis_window(f, fdomain)),
-        )
-    )
-    return dvi_mean(MeanProblem(f, fdomain, fr))
+    return _framed_mean(f, fdomain)
 
 
 def class_VII_mean(f: FnLike, fdomain: Interval) -> MeanResult:
@@ -446,8 +437,7 @@ def geometric_mean(f: FnLike, fdomain: Interval) -> MeanResult:
         )
     if m.hi <= 0.0:
         raise PreconditionError("geometric mean of an identically vanishing function")
-    fr = make_frame((identity_map(_base_axis_window(fdomain)), _log_map()))
-    return dvi_mean(MeanProblem(f, fdomain, fr))
+    return _framed_mean(f, fdomain, h=_log_map())
 
 
 def harmonic_mean(f: FnLike, fdomain: Interval) -> MeanResult:
@@ -460,8 +450,7 @@ def harmonic_mean(f: FnLike, fdomain: Interval) -> MeanResult:
         hm = _reciprocal_map(positive=False)
     else:
         raise PreconditionError(f"harmonic mean needs one-signed values; hull is {m}")
-    fr = make_frame((identity_map(_base_axis_window(fdomain)), hm))
-    return dvi_mean(MeanProblem(f, fdomain, fr))
+    return _framed_mean(f, fdomain, h=hm)
 
 
 def power_integral_mean(f: FnLike, fdomain: Interval, p: float) -> MeanResult:
@@ -472,8 +461,7 @@ def power_integral_mean(f: FnLike, fdomain: Interval, p: float) -> MeanResult:
     m = estimate_range_hull(f, fdomain)
     if m.lo < 0.0:
         raise PreconditionError(f"power-integral mean needs non-negative values; hull is {m}")
-    fr = make_frame((identity_map(_base_axis_window(fdomain)), _power_map(float(p))))
-    return dvi_mean(MeanProblem(f, fdomain, fr))
+    return _framed_mean(f, fdomain, h=_power_map(float(p)))
 
 
 def elastic_mean(f: FnLike, fdomain: Interval) -> MeanResult:
@@ -486,10 +474,7 @@ def elastic_mean(f: FnLike, fdomain: Interval) -> MeanResult:
         if fdomain.degenerate:
             raise PreconditionError("elastic mean needs a positive window")
         fdomain = Interval(fdomain.lo, fdomain.hi, lo_open=True, hi_open=fdomain.hi_open)
-    f = _coerce_f(f)
-    gm = _log_map()
-    hm = identity_map(_value_axis_window(f, fdomain))
-    return dvi_mean(MeanProblem(f, fdomain, make_frame((gm, hm))))
+    return _framed_mean(f, fdomain, g=_log_map())
 
 
 #: Every mean class by name.  Each entry maps ``(window, arg)`` to a

@@ -353,6 +353,16 @@ def test_exit_domain_error(run):
     assert rc == 3
 
 
+def test_constant_under_a_value_map_undefined_just_below_it(run):
+    rc, out, _ = run(
+        "mean", "--class", "I", "--f", "0.0005", "--h", "sqrt(y)", "--a", "0", "--b", "1",
+        "--format", "json",
+    )
+    assert rc == 0
+    rec = json.loads(out)
+    assert abs(rec["value"] - 0.0005) <= rec["err"]
+
+
 def test_exit_pole_in_the_value_map(run):
     rc, _, err = run(
         "mean", "--class", "I", "--f", "x", "--h", "1/x", "--a", "0", "--b", "1", "--open-a"

@@ -18,7 +18,6 @@ from isomean.expr import (
     differentiate,
     evaluate,
     h_scaleshift,
-    h_scaleshift_interval,
     hv_scaleshift,
     substitute,
     to_string,
@@ -166,16 +165,6 @@ class TestScaleShift:
         u = 2.0
         want = 2.0 * math.exp((u - 0.5) / -3.0) + 1.0
         assert evaluate(e, u) == pytest.approx(want, rel=1e-15)
-
-    def test_interval_transport(self):
-        d = Interval(1.0, 2.0, lo_open=True)
-        out = h_scaleshift_interval(d, ScaleShift(-2.0, 1.0))
-        # negative scale flips orientation and carries the open side along
-        assert out.lo == -3.0 and out.hi == -1.0
-        assert out.hi_open and not out.lo_open
-
-        plain = h_scaleshift_interval(Interval(0.0, 1.0), ScaleShift(3.0, 2.0))
-        assert (plain.lo, plain.hi) == (2.0, 5.0)
 
 
 def test_deep_trees_work_in_repr_hash_equality_and_as_dict_keys():

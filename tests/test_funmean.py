@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from isomean import funmean, quadrature
 
-from isomean._errors import DivergentIntegralError, NotBondedError
+from isomean._errors import DivergentIntegralError, DomainError, NotBondedError
 from isomean.expr import evaluate
 from isomean.frame import generator_map, make_frame
 from isomean.funmean import (
@@ -25,6 +25,7 @@ from isomean.funmean import (
     elastic_mean,
     geometric_mean,
     harmonic_mean,
+    MeanProblem,
     mean_problem,
     plain_mean,
     power_integral_mean,
@@ -394,3 +395,67 @@ def test_power_maps_stay_bounded_after_many_exponents():
     info = funmean._power_map.cache_info()
     assert info.maxsize is not None
     assert info.currsize <= info.maxsize <= 128
+
+
+# Every constructor below builds its frame through one builder; each must
+# give the bits of dvi_mean on the frame its docstring names, here built
+# by hand on one window that covers both the base window and f's values.
+PIN_F = "1+x^2"
+PIN_D = Interval(1.0, 2.0)
+PIN_WIDE = Interval(0.5, 8.0)
+
+
+@pytest.mark.parametrize(
+    "mean, g, h",
+    [
+        (lambda: class_I_mean(PIN_F, PIN_D, "exp(y)"), "x", "exp(y)"),
+        (lambda: class_II_mean(PIN_F, PIN_D, "x^2"), "x^2", "y"),
+        (lambda: class_IV_mean(PIN_F, PIN_D, "x^2", "ln(y)"), "x^2", "ln(y)"),
+        (lambda: plain_mean(PIN_F, PIN_D), "x", "y"),
+        (lambda: class_VI_mean(PIN_F, PIN_D), "x", "y"),
+        (lambda: geometric_mean(PIN_F, PIN_D), "x", "ln(y)"),
+        (lambda: harmonic_mean(PIN_F, PIN_D), "x", "1/y"),
+        (lambda: power_integral_mean(PIN_F, PIN_D, 3.0), "x", "y^3"),
+        (lambda: elastic_mean(PIN_F, PIN_D), "ln(x)", "y"),
+    ],
+    ids=["I", "II", "IV", "plain", "VI", "geometric", "harmonic", "power", "elastic"],
+)
+def test_each_constructor_is_the_mean_of_the_frame_it_names(mean, g, h):
+    fr = make_frame(((g, PIN_WIDE), (h, PIN_WIDE)))
+    want = dvi_mean(MeanProblem(PIN_F, PIN_D, fr))
+    got = mean()
+    assert (got.value, got.abs_error_estimate, got.method) == (
+        want.value, want.abs_error_estimate, want.method
+    )
+
+
+@pytest.mark.parametrize("h", ["sqrt(y)", "ln(y)", "y^0.5"])
+def test_constant_under_a_value_map_undefined_just_below_it(h):
+    # the value map's window keeps the constant as its lower end instead of
+    # widening into the map's undefined side
+    for r in (
+        class_I_mean("0.0005", Interval(0.0, 1.0), h),
+        class_IV_mean("0.0005", Interval(0.0, 1.0), "x^2", h),
+    ):
+        assert abs(r.value - 0.0005) <= r.abs_error_estimate
+
+
+def test_zero_under_the_log_map_stays_undefined():
+    with pytest.raises(DomainError):
+        class_I_mean("0", Interval(0.0, 1.0), "ln(y)")
+
+
+def test_window_and_hull_touching_an_open_map_boundary_are_bonded():
+    log = ("ln(x)", Interval(0.0, math.inf, lo_open=True))
+    # [0, 1] touches ln's open end as the base window and as x's value hull
+    p = mean_problem("x", 0.0, 1.0, make_frame((log, log)))
+    assert (p.range_hull.lo, p.range_hull.hi) == (0.0, 1.0)
+
+
+def test_unbonded_message_names_only_the_side_that_escapes():
+    # the hull [0, 2] only touches ln's open end; the window escapes [0, 1]
+    fr = make_frame((("x", Interval(0.0, 1.0)), ("ln(y)", Interval(0.0, math.inf, lo_open=True))))
+    with pytest.raises(NotBondedError) as caught:
+        mean_problem("x", 0.0, 2.0, fr)
+    assert "evaluation interval" in str(caught.value)
+    assert "value hull" not in str(caught.value)

@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no private top-level name goes unreferenced by the whole package, no
-function of the expression module recurses, and every name the benchmark's
-tracer wraps still exists."""
+no private top-level name goes unreferenced by the whole package, no public
+one goes unexported and unreferenced, no function of the expression module
+recurses, and every name the benchmark's tracer wraps still exists."""
 
 import ast
 import importlib
@@ -48,13 +48,13 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def dead_private_names(sources: dict) -> list:
-    """Private top-level names of `sources` that no source references.
+def top_level_names(sources: dict) -> tuple:
+    """(defined, referenced) over `sources`, a map of module name to text.
 
-    `sources` maps a module name to its text.  A private name starts with
-    one underscore and is bound at module level by a ``def``, a ``class`` or
-    an assignment.  It is referenced when any source loads it as an
-    ``ast.Name`` or reads it as an attribute (``frame._limit_toward``).
+    `defined` maps ``module.name`` to each name bound at module level by a
+    ``def``, a ``class`` or an assignment.  `referenced` holds every name
+    some source loads as an ``ast.Name`` or reads as an attribute
+    (``frame._limit_toward``).
     """
     defined = {}
     referenced = set()
@@ -69,14 +69,25 @@ def dead_private_names(sources: dict) -> list:
             else:
                 names = []
             for name in names:
-                if name.startswith("_") and not name.startswith("__"):
-                    defined[f"{module}.{name}"] = name
+                defined[f"{module}.{name}"] = name
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    return sorted(q for q, name in defined.items() if name not in referenced)
+    return defined, referenced
+
+
+def dead_private_names(sources: dict) -> list:
+    """Private top-level names of `sources` that no source references.
+
+    A private name starts with one underscore (see `top_level_names`).
+    """
+    defined, referenced = top_level_names(sources)
+    return sorted(
+        q for q, name in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in referenced
+    )
 
 
 def test_dead_name_scan_finds_unreferenced_private_names():
@@ -90,6 +101,44 @@ def test_dead_name_scan_finds_unreferenced_private_names():
 def test_package_has_no_dead_private_names():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert dead_private_names(sources) == []
+
+
+def dead_public_names(sources: dict, kept=()) -> list:
+    """Public top-level names of `sources` that nothing needs.
+
+    A public name does not start with an underscore.  It is needed when the
+    ``__all__`` of the ``__init__`` source exports it, when any source
+    references it (see `top_level_names`), or when it is one of `kept`,
+    the names looked up from outside the package.
+    """
+    init = sources.get("__init__", "")
+    exported = set()
+    for node in ast.parse(init).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+            exported = set(ast.literal_eval(node.value))
+    defined, referenced = top_level_names(sources)
+    needed = exported | referenced | set(kept)
+    return sorted(
+        q for q, name in defined.items()
+        if not name.startswith("_") and not q.startswith("__init__.") and name not in needed
+    )
+
+
+def test_dead_name_scan_finds_unexported_unreferenced_public_names():
+    sources = {
+        "__init__": "from .a import shown\n__all__ = ['shown']\n",
+        "a": "LIMIT = 3\ndef shown():\n    return LIMIT\ndef helper():\n    pass\n"
+             "def wrapped():\n    pass\nclass Gone:\n    pass\n",
+        "b": "from . import a\nprint(a.helper())\n",
+    }
+    assert dead_public_names(sources, kept=["wrapped"]) == ["a.Gone"]
+    assert dead_public_names(sources) == ["a.Gone", "a.wrapped"]
+
+
+def test_package_has_no_dead_public_names():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    kept = [attr for _, attr, _ in tracer_lookups()]
+    assert dead_public_names(sources, kept) == []
 
 
 def self_references(source: str) -> list:
@@ -133,10 +182,16 @@ def tracer_spans() -> tuple:
     raise AssertionError(f"no SPANS table in {TRACER}")
 
 
+def tracer_lookups() -> list:
+    """(module, attribute, class or None) of every name the tracer looks up:
+    its SPANS table and the two names it wraps outside it."""
+    lookups = [(module, attr, cls) for _, module, attr, cls in tracer_spans()]
+    return lookups + [("isomean.quadrature", "is_improper_near", None), ("isomean.expr", "evaluate", None)]
+
+
 def test_every_name_the_tracer_wraps_resolves():
     # `perfbench/run.py --trace 1` looks these up by name; a rename breaks it
-    lookups = [(module, attr, cls) for _, module, attr, cls in tracer_spans()]
-    lookups += [("isomean.quadrature", "is_improper_near", None), ("isomean.expr", "evaluate", None)]
+    lookups = tracer_lookups()
     assert len(lookups) > 2
     for module, attr, cls in lookups:
         owner = importlib.import_module(module)

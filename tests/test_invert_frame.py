@@ -8,16 +8,10 @@ import pytest
 import scipy.optimize
 
 from isomean import classify, compare, frame, funmean, nummean
-from isomean._errors import DomainError, NonMonotoneError, InversionError, PreconditionError
+from isomean._errors import DomainError, NonMonotoneError, NotBondedError, InversionError, PreconditionError
 from isomean.expr import const, differentiate, evaluate, mul, var
-from isomean.frame import (
-    check_bonded,
-    estimate_range_hull,
-    generator_map,
-    invert_frame,
-    make_frame,
-)
-from isomean.funmean import _log_map, class_I_mean
+from isomean.frame import estimate_range_hull, generator_map, make_frame
+from isomean.funmean import _log_map, class_I_mean, mean_problem
 from isomean.invert import _real_root, apply_steps, residual_ok, within
 from isomean.intervals import Interval
 from isomean.parse import parse
@@ -118,7 +112,7 @@ def test_inversion_outside_image_fails():
 
 def test_frame_inversion_is_an_involution():
     fr = make_frame((("x^2", Interval(0.5, 2.0)), ("ln(y)", Interval(0.5, 8.0))))
-    back = invert_frame(invert_frame(fr))
+    back = make_frame(tuple(dm.inverse().inverse() for dm in fr.dms))
     for x in (0.6, 1.0, 1.9):
         assert back.g(x) == pytest.approx(fr.g(x), rel=1e-10)
     for y in (0.7, 2.0, 7.5):
@@ -127,7 +121,7 @@ def test_frame_inversion_is_an_involution():
 
 def test_inverted_frame_swaps_evaluation_direction():
     fr = make_frame((("x", Interval(0.0, 2.0)), ("exp(y)", Interval(0.0, 1.0))))
-    inv = invert_frame(fr)
+    inv = make_frame(tuple(dm.inverse() for dm in fr.dms))
     # the inverted value map undoes the original one
     for y in (0.1, 0.5, 0.9):
         assert inv.h(fr.h(y)) == pytest.approx(y, abs=1e-10)
@@ -140,17 +134,17 @@ def test_estimate_range_hull_brackets_the_range():
     assert hull.lo <= math.sin(1.0) <= hull.hi
 
 
-def test_check_bonded_accepts_and_rejects():
+def test_mean_problem_accepts_and_rejects_bonding():
     fr = make_frame((("x", Interval(0.0, 4.0)), ("ln(y)", Interval(0.1, 3.0))))
-    ok = check_bonded(parse("sqrt(x)"), Interval(1.0, 4.0), fr)
-    assert ok.bonded and ok.base_ok and ok.hull_ok
+    ok = mean_problem(parse("sqrt(x)"), 1.0, 4.0, fr)
+    assert ok.range_hull.lo == 1.0 and ok.range_hull.hi == 2.0
 
     # sqrt climbs to 3.16 > 3.0 on [1, 10]: the value hull escapes
     bad_frame = make_frame((("x", Interval(0.0, 12.0)), ("ln(y)", Interval(0.1, 3.0))))
-    bad = check_bonded(parse("sqrt(x)"), Interval(1.0, 10.0), bad_frame)
-    assert not bad.bonded
-    assert not bad.hull_ok
-    assert bad.message
+    with pytest.raises(NotBondedError) as bad:
+        mean_problem(parse("sqrt(x)"), 1.0, 10.0, bad_frame)
+    assert "value hull" in str(bad.value)
+    assert "evaluation interval" not in str(bad.value)
 
 
 def test_map_overflowing_inside_an_unbounded_domain_inverts():
