@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -155,11 +155,35 @@ def _second_derivative_samples(f: FnLike, xs: np.ndarray) -> np.ndarray:
     return (fn(xs + h) - 2.0 * fn(xs) + fn(xs - h)) / (h * h)
 
 
-def _sign_split(vals: np.ndarray, floor: float):
+def _sampled_signs(values_of, f: FnLike, d: Interval, samples: int, floor: Optional[float]):
+    """The grid points of `d` where ``values_of(f, xs)`` is finite, those
+    values, and their masks (pos, neg, zero) against `floor`; or None when
+    the sign is Unknown.  A `floor` of None is the noise floor of finite
+    differences, 1e-5 of the largest magnitude and at least 1e-9.
+
+    It is Unknown below 16 finite samples, and when both signs occur and
+    the minority is at most ``_MINORITY_MAX`` samples, all of magnitude
+    below ``_NOISE_RATIO`` of the majority's largest.
+    """
+    xs = sample_grid(d, samples)
+    vals = values_of(f, xs)
+    finite = np.isfinite(vals)
+    xs, vals = xs[finite], vals[finite]
+    if xs.size < 16:
+        return None
+    if floor is None:
+        floor = max(1e-9, 1e-5 * float(np.max(np.abs(vals))))
     pos = vals > floor
     neg = vals < -floor
-    zero = ~pos & ~neg
-    return pos, neg, zero
+    npos, nneg = np.count_nonzero(pos), np.count_nonzero(neg)
+    if npos > 0 and nneg > 0:
+        minority, majority = (neg, pos) if npos >= nneg else (pos, neg)
+        n_min = np.count_nonzero(minority)
+        min_mag = float(np.max(np.abs(vals[minority])))
+        maj_mag = float(np.max(np.abs(vals[majority])))
+        if n_min <= _MINORITY_MAX and min_mag < _NOISE_RATIO * maj_mag:
+            return None
+    return xs, vals, pos, neg, ~pos & ~neg
 
 
 def _refine_crossing(deriv_at, xl: float, xr: float, span: float):
@@ -181,21 +205,12 @@ def _refine_crossing(deriv_at, xl: float, xr: float, span: float):
 
 def classify_monotonicity(f: FnLike, d: Interval, samples: int = DEFAULT_SAMPLES) -> MonotonicityClass:
     """Classify the slope sign of `f` over `d` from sampled evidence."""
-    xs = sample_grid(d, samples)
-    vals = _derivative_samples(f, xs)
-    finite = np.isfinite(vals)
-    xs, vals = xs[finite], vals[finite]
-    if xs.size < 16:
+    read = _sampled_signs(_derivative_samples, f, d, samples, _SIGN_FLOOR)
+    if read is None:
         return MonotonicityClass(UNKNOWN, resolution=samples)
-    pos, neg, zero = _sign_split(vals, _SIGN_FLOOR)
-    npos, nneg = int(pos.sum()), int(neg.sum())
+    xs, vals, pos, neg, zero = read
+    npos, nneg = np.count_nonzero(pos), np.count_nonzero(neg)
     if npos > 0 and nneg > 0:
-        minority, majority = (neg, pos) if npos >= nneg else (pos, neg)
-        n_min = int(minority.sum())
-        min_mag = float(np.max(np.abs(vals[minority])))
-        maj_mag = float(np.max(np.abs(vals[majority])))
-        if n_min <= _MINORITY_MAX and min_mag < _NOISE_RATIO * maj_mag:
-            return MonotonicityClass(UNKNOWN, resolution=samples)
         # Solid sign reversal: locate an adjacent straddling pair and refine.
         signs = np.where(pos, 1, np.where(neg, -1, 0))
         nz = np.nonzero(signs)[0]
@@ -219,7 +234,7 @@ def classify_monotonicity(f: FnLike, d: Interval, samples: int = DEFAULT_SAMPLES
             xr = float(xs[neg][np.argmin(vals[neg])])
             dl, dr = float(deriv_at(xl)), float(deriv_at(xr))
         return MonotonicityClass(NON_MONOTONE, witnesses=((xl, dl), (xr, dr)), resolution=samples)
-    nzero = int(zero.sum())
+    nzero = np.count_nonzero(zero)
     if npos > 0 or nneg > 0:
         if nzero > xs.size // 8:
             # A large flat stretch: monotone but possibly not strictly.
@@ -236,32 +251,20 @@ def _scalar_deriv(f: FnLike):
 
 def classify_convexity(f: FnLike, d: Interval, samples: int = DEFAULT_SAMPLES) -> ConvexityClass:
     """Classify the curvature sign of `f` over `d` from sampled evidence."""
-    xs = sample_grid(d, samples)
-    vals = _second_derivative_samples(f, xs)
-    finite = np.isfinite(vals)
-    xs, vals = xs[finite], vals[finite]
-    if xs.size < 16:
+    # Finite differences carry O(h²) truncation + rounding noise.
+    floor = _SIGN_FLOOR if isinstance(f, Expr) else None
+    read = _sampled_signs(_second_derivative_samples, f, d, samples, floor)
+    if read is None:
         return ConvexityClass(UNKNOWN, resolution=samples)
-    if isinstance(f, Expr):
-        floor = _SIGN_FLOOR
-    else:
-        # Finite differences carry O(h²) truncation + rounding noise.
-        floor = max(1e-9, 1e-5 * float(np.max(np.abs(vals))))
-    pos, neg, zero = _sign_split(vals, floor)
-    npos, nneg = int(pos.sum()), int(neg.sum())
+    xs, vals, pos, neg, zero = read
+    npos, nneg = np.count_nonzero(pos), np.count_nonzero(neg)
     if npos > 0 and nneg > 0:
-        minority, majority = (neg, pos) if npos >= nneg else (pos, neg)
-        n_min = int(minority.sum())
-        min_mag = float(np.max(np.abs(vals[minority])))
-        maj_mag = float(np.max(np.abs(vals[majority])))
-        if n_min <= _MINORITY_MAX and min_mag < _NOISE_RATIO * maj_mag:
-            return ConvexityClass(UNKNOWN, resolution=samples)
         ip = int(np.argmax(np.where(pos, vals, -np.inf)))
         im = int(np.argmin(np.where(neg, vals, np.inf)))
         w_pos = _bracket_around(xs, ip)
         w_neg = _bracket_around(xs, im)
         return ConvexityClass(MIXED, witnesses=(w_pos, w_neg), resolution=samples)
-    nzero = int(zero.sum())
+    nzero = np.count_nonzero(zero)
     # A couple of floor-level samples (an isolated inflection touch, or the
     # far tail of an unbounded domain) do not spoil strictness.
     if npos > 0:

@@ -270,9 +270,13 @@ def generator_map(source: Union[Expr, str], domain: Interval) -> GeneratorMap:
     The same expression object on the same window gives the same map
     object, verified once (see `_memoised`), and a window inside one the
     expression was verified on is not verified again (see `_verified_map`).
-    The map x is not verified at all: see :func:`identity_map`.
+    The map x is not verified at all: see :func:`identity_map`.  A source
+    that is neither text nor an expression (an array callable such as
+    ``np.exp``) raises PreconditionError.
     """
     expr = parse(source) if isinstance(source, str) else source
+    if not isinstance(expr, Expr):
+        raise PreconditionError(f"a generator map needs an expression, not {source!r}")
     return _memoised(_build_identity if expr.op == "var" else _verified_map, expr, domain)
 
 

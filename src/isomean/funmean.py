@@ -14,9 +14,10 @@ Every mean is first evaluated directly: the Gauss–Kronrod nodes are
 interior, so integrable blow-ups of ``f`` or of the maps at an endpoint
 need no special treatment.  Only when direct evaluation cannot be carried
 out (a map undefined exactly at the boundary, or a pullback that leaves the
-y-map's image) is the mean evaluated on a sequence of shrunken intervals and
-the limit taken; the result records which route produced it and a
-defensible error estimate.
+y-map's image) is the quotient inside h⁻¹ evaluated on a sequence of
+shrunken intervals, its limit taken and h⁻¹ applied once to that limit;
+the result records which route produced it and a defensible error
+estimate.
 """
 from __future__ import annotations
 
@@ -158,29 +159,35 @@ def _integrand(problem: MeanProblem) -> Callable[[np.ndarray], np.ndarray]:
     return phi
 
 
-def _direct_or_limit(mean_on, integrand, a: float, b: float):
-    """Evaluate ``mean_on`` on [a, b], or its limit on shrunken windows.
+def _direct_or_limit(quotient, finish, integrand, a: float, b: float):
+    """Evaluate a frame's mean on [a, b], or its limit on shrunken windows.
 
-    ``mean_on(ak, bk, integral)`` returns ``(value, error, detail)``, where
-    ``integral(ak, bk)`` gives ∫ integrand over [ak, bk] and its error.
+    ``quotient(ak, bk, integral)`` returns ``(u, t, err, detail)``: the
+    frame's quotient u on [ak, bk], where ``integral(ak, bk)`` gives
+    ∫ integrand over [ak, bk] and its error; the window's extrapolation
+    variable t, or None (see :func:`quadrature.endpoint_limit`); the error
+    of u; and the detail of a direct result.  ``finish(u, err)`` turns a
+    quotient and its error into the mean and its error, on either route.
     Direct quadrature runs first: its nodes are interior, so integrable
     endpoint blow-ups need no limit.  The endpoint limit is taken only when
     the direct evaluation raises DomainError or InversionError (a map
     undefined at the boundary, a ratio outside the y-map's image); a
-    DivergentIntegralError propagates.  The limit's windows are integrated
-    over nested strips by :func:`quadrature.window_integrals`, each strip
-    held to ``min(_LIMIT_SUBDIV, max_subdivisions())`` subdivisions.
+    DivergentIntegralError propagates.  The limit is taken of the quotient,
+    and ``finish`` is applied once, to the limit.  The limit's windows are
+    integrated over nested strips by :func:`quadrature.window_integrals`,
+    each strip held to ``min(_LIMIT_SUBDIV, max_subdivisions())``
+    subdivisions.
 
     Returns ``(value, error, method, detail)``.
     """
     try:
-        value, err, detail = mean_on(a, b, partial(integrate, integrand))
-        return value, err, "quadrature", detail
+        u, _, err, detail = quotient(a, b, partial(integrate, integrand))
+        return (*finish(u, err), "quadrature", detail)
     except (DomainError, InversionError):
         budget = min(_LIMIT_SUBDIV, max_subdivisions())
         integral_on = window_integrals(integrand, a, b, budget)
-        value, err, stage = endpoint_limit(lambda ak, bk: mean_on(ak, bk, integral_on)[0], a, b)
-        return value, err, "quadrature+endpoint-limit", {"stage": stage}
+        u, err, stage = endpoint_limit(lambda ak, bk: quotient(ak, bk, integral_on)[:2], a, b)
+        return (*finish(u, err), "quadrature+endpoint-limit", {"stage": stage})
 
 
 def dvi_mean(problem: MeanProblem) -> MeanResult:
@@ -200,17 +207,22 @@ def dvi_mean(problem: MeanProblem) -> MeanResult:
     phi = _integrand(problem)
     hull = problem.range_hull
 
-    def mean_on(ak: float, bk: float, integral):
+    # A diverging x-map makes the quotient L + C·t in t = 1/|g(b) − g(a)|.
+    diverging = not g.image.bounded
+
+    def quotient(ak: float, bk: float, integral):
         dg = g(bk) - g(ak)
         if dg == 0.0:
             raise PreconditionError("x-map takes equal values at the endpoints")
         total, err_i = integral(ak, bk)
-        value = h.invert(total / dg)
-        slope = abs(h.derivative_at(value))
-        err = err_i / abs(dg) / max(slope, 1e-300)
-        return value, err, {"numerator": total, "denominator": dg}
+        t = 1.0 / abs(dg) if diverging else None
+        return total / dg, t, err_i / abs(dg), {"numerator": total, "denominator": dg}
 
-    value, err, method, extra = _direct_or_limit(mean_on, phi, a, b)
+    def finish(u: float, err: float):
+        value = h.invert(u)
+        return value, err / max(abs(h.derivative_at(value)), 1e-300)
+
+    value, err, method, extra = _direct_or_limit(quotient, finish, phi, a, b)
     generalized = method != "quadrature" or max(abs(hull.lo), abs(hull.hi)) > _GENERALIZED_SPAN
     detail = {"range_hull": str(hull), "generalized": generalized, **extra}
     slack = max(1e-6, 1e-6 * abs(value), 10.0 * err)
@@ -406,16 +418,19 @@ def class_VII_mean(f: FnLike, fdomain: Interval) -> MeanResult:
         xs = np.asarray(xs, dtype=float)
         return xs * F.derivative_many(xs)
 
-    def mean_on(ak: float, bk: float, integral):
+    # No extrapolation variable: where F diverges at an end, the mean point
+    # tends to that end and the mean is infinite.
+    def quotient(ak: float, bk: float, integral):
         dF = F(bk) - F(ak)
         if dF == 0.0:
             raise PreconditionError("f takes equal values at the endpoints")
         total, err_i = integral(ak, bk)
-        t = total / dF
-        err = abs(F.derivative_at(t)) * err_i / abs(dF) if math.isfinite(t) else math.inf
-        return fscal(t), err, {"numerator": total, "denominator": dF}
+        return total / dF, None, err_i / abs(dF), {"numerator": total, "denominator": dF}
 
-    value, err, method, detail = _direct_or_limit(mean_on, weight, a, b)
+    def finish(u: float, err: float):
+        return fscal(u), abs(F.derivative_at(u)) * err if math.isfinite(u) else math.inf
+
+    value, err, method, detail = _direct_or_limit(quotient, finish, weight, a, b)
     if not math.isfinite(value):
         raise DomainError("mean point fell where f is not evaluable")
     return MeanResult(value, err, method, detail)

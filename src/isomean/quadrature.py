@@ -26,15 +26,15 @@ the result does not depend on the order of the panels.
 For genuinely improper endpoints (tan at π/2) the `endpoint_limit` driver
 evaluates the quantity on inward-shrunken windows ε_k = 10^−k·span,
 k = 2..12, one at a time, and stops as soon as the sequence has settled.
-Each window feeds one Richardson tableau: the linear extrapolant to t = 0
-in t = 1/ln(b_k/a_k), then a tenfold Richardson step that removes the O(ε)
-remainder of those extrapolants.  It accepts three successive values within
-1e-8 relative ("raw") or two successive tableau entries within 1e-9
-("extrapolated").  Only when neither happens does it fall back to the best
-pair over all eleven windows: a rounding-noise floor (successive values
-within 1e-7, "noise-floor") or two linear extrapolants within 2e-6.
-`window_integrals` integrates those windows from nested strips, in two
-`integrate_many` calls at most.
+It has two stages.  Three successive values within 1e-8 relative are the
+limit ("raw").  Where the caller supplies an extrapolation variable t with
+each window, 1/|g(b_k) − g(a_k)| for a mean over a diverging x-map, each
+window also feeds one Richardson tableau: the linear extrapolant to t = 0,
+then a tenfold Richardson step that removes the O(ε) remainder of those
+extrapolants; two successive tableau entries within 1e-9 are the limit
+("extrapolated").  A sequence that settles by neither rule raises
+DivergentIntegralError.  `window_integrals` integrates those windows from
+nested strips, in two `integrate_many` calls at most.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import heapq
 import math
 import os
 from operator import itemgetter
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -446,16 +446,6 @@ _RAW_REL = 1e-8
 #: Two successive column-2 entries of the endpoint-limit tableau that agree
 #: within this (relative to max(1, |E|)) end the window sequence.
 _SETTLE_REL = 1e-9
-#: The best pair over all windows, when nothing settled: successive values
-#: within _NOISE_REL, else successive column-1 extrapolants within
-#: _EXTRAP_REL (both relative to max(1, |v|)).
-_NOISE_REL = 1e-7
-_EXTRAP_REL = 2e-6
-
-
-def _at_t0(t1: float, v1: float, t2: float, v2: float) -> float:
-    """The line through (t1, v1) and (t2, v2), at t = 0."""
-    return v2 - t2 * (v2 - v1) / (t2 - t1)
 
 
 def _windows(a: float, b: float) -> list:
@@ -533,25 +523,28 @@ def window_integrals(fn, a: float, b: float, max_subdiv: int | None = None):
 
 
 def endpoint_limit(
-    value_on: Callable[[float, float], float],
+    value_on: Callable[[float, float], Tuple[float, Optional[float]]],
     a: float,
     b: float,
 ) -> Tuple[float, float, str]:
-    """Limit of value_on([a+ε, b−ε]) as ε → 0 over shrinking windows.
+    """Limit of a window quantity on [a+ε, b−ε] as ε → 0 over shrinking
+    windows.
 
-    Both endpoints shrink together along ε_k = 10^−k·(b−a), k = 2..12,
-    which keeps limits well-defined for quantities that depend on the
-    endpoint path.  Windows are evaluated lazily, each adding one row
-    to a Richardson tableau:
+    ``value_on(ak, bk)`` returns ``(v, t)``: the quantity on the window and
+    the caller's extrapolation variable t, which tends to 0 with ε, or
+    None when the caller has none.  Both endpoints shrink together along
+    ε_k = 10^−k·(b−a), k = 2..12, which keeps limits well-defined for
+    quantities that depend on the endpoint path.  Windows are evaluated
+    lazily, each adding one row to a Richardson tableau:
 
     * column 0 holds the window value v_k;
-    * column 1 the linear extrapolant to t = 0 of v_{k−1}, v_k in
-      t_k = 1/ln(b_k/a_k) (1/(k·ln 10) where that ratio is below e);
+    * column 1 the linear extrapolant to t = 0 of v_{k−1}, v_k in t;
     * column 2 the Richardson step (10·c1_k − c1_{k−1})/9, which removes
       an O(ε) remainder of column 1.  Window values L + c·t + d·ε·t, the
-      shape of a mean over a diverging ln(b/a), leave exactly that.
+      shape of a frame's quotient over a diverging g(b) − g(a) with
+      t = 1/|g(b) − g(a)|, leave exactly that.
 
-    Only windows with consecutive k combine; a window that raises
+    Only windows with consecutive k and a t combine; a window that raises
     DomainError or DivergentIntegralError, or is not finite, restarts
     columns 1 and 2.  The sequence stops at the first window where
 
@@ -561,27 +554,18 @@ def endpoint_limit(
       (stage "extrapolated", their difference, floored at 50 ulps, as the
       estimate).
 
-    When neither happens by k = 12, as for a sequence whose remainder is
-    not O(ε), the best pair over all windows decides: the closest
-    successive values if within ``_NOISE_REL`` ("noise-floor"), else the
-    closest successive column-1 extrapolants, over any two successive
-    evaluated windows, if within ``_EXTRAP_REL`` ("extrapolated").
     Returns (value, error_estimate, stage); raises DivergentIntegralError
-    when nothing stabilizes.
+    when neither happens by k = 12.
     """
     records = []  # (k, t, value)
     col1, col2 = [], []  # tableau columns over the current consecutive run
     for k, (ak, bk) in enumerate(_windows(a, b), _K_FIRST):
         try:
-            v = value_on(ak, bk)
+            v, t = value_on(ak, bk)
         except (DomainError, DivergentIntegralError):
             continue
         if not math.isfinite(v):
             continue
-        if ak > 0 and bk / ak > math.e:
-            t = 1.0 / math.log(bk / ak)
-        else:
-            t = 1.0 / (k * math.log(10.0))
         records.append((k, t, v))
         if len(records) >= 3:
             v1, v2, v3 = (r[2] for r in records[-3:])
@@ -592,44 +576,18 @@ def endpoint_limit(
                 and abs(v3 - v1) <= _RAW_REL * scale
             ):
                 return v3, max(abs(v3 - v2), 1e-16 * scale), "raw"
-        if len(records) < 2 or records[-2][0] != k - 1 or records[-2][1] == t:
+        if t is None or len(records) < 2 or records[-2][0] != k - 1 or records[-2][1] == t:
             col1.clear()
             col2.clear()
             continue
-        col1.append(_at_t0(*records[-2][1:], t, v))
+        _, t0, v0 = records[-2]
+        col1.append(v - t * (v - v0) / (t - t0))  # the line through both, at t = 0
         if len(col1) >= 2:
             col2.append((_SHRINK * col1[-1] - col1[-2]) / (_SHRINK - 1.0))
         if len(col2) >= 2:
             e, delta = col2[-1], abs(col2[-1] - col2[-2])
             if delta <= _SETTLE_REL * max(1.0, abs(e)):
                 return e, max(delta, _ROUNDING_FLOOR * max(abs(e), abs(v))), "extrapolated"
-    if len(records) < 2:
-        raise DivergentIntegralError(
-            "no stable values on the shrunken-interval sequence; the integral appears divergent"
-        )
-    vals = [r[2] for r in records]
-    rel_deltas = [
-        abs(vals[i + 1] - vals[i]) / max(1.0, abs(vals[i + 1])) for i in range(len(vals) - 1)
-    ]
-    i_min = int(np.argmin(rel_deltas))
-    if rel_deltas[i_min] <= _NOISE_REL:
-        v = vals[i_min + 1]
-        return v, rel_deltas[i_min] * max(1.0, abs(v)), "noise-floor"
-    extr = []
-    for i in range(1, len(records)):
-        _, t1, v1 = records[i - 1]
-        _, t2, v2 = records[i]
-        if t1 == t2:
-            continue
-        extr.append(_at_t0(t1, v1, t2, v2))
-    if len(extr) >= 2:
-        e_deltas = [
-            abs(extr[i + 1] - extr[i]) / max(1.0, abs(extr[i + 1])) for i in range(len(extr) - 1)
-        ]
-        j = int(np.argmin(e_deltas))
-        if e_deltas[j] <= _EXTRAP_REL:
-            v = extr[j + 1]
-            return v, e_deltas[j] * max(1.0, abs(v)), "extrapolated"
     raise DivergentIntegralError(
         "shrunken-interval values neither converge nor extrapolate stably; "
         "the integral appears divergent"

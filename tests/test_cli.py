@@ -392,6 +392,25 @@ def test_exit_non_integrable_blowup_is_divergent(run):
     assert "divergent" in err
 
 
+def test_mean_under_a_diverging_x_map_is_its_limit(run):
+    # the weight 1/x concentrates on f(0+) = 1 under both log maps
+    rc, out, err = run(
+        "mean", "--class", "IV", "--f", "1+x", "--g", "ln(x)", "--h", "ln(y)",
+        "--a", "0", "--b", "1", "--open-a", "--format", "json",
+    )
+    assert rc == 0, err
+    rec = json.loads(out)
+    assert abs(rec["value"] - 1.0) <= rec["err"]
+
+
+def test_exit_elastic_mean_of_a_diverging_quotient_is_divergent(run):
+    rc, _, err = run(
+        "mean", "--class", "elastic", "--f", "1/sqrt(x)", "--a", "0", "--b", "1", "--open-a"
+    )
+    assert rc == 5
+    assert "divergent" in err
+
+
 def test_exit_subdivision_cap_binds_the_limit_route(run, monkeypatch):
     monkeypatch.setenv("ISOMEAN_MAX_SUBDIV", "2")
     rc, _, err = run(

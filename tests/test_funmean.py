@@ -326,7 +326,7 @@ def _elastic_tangent_ref(s):
 def test_elastic_limit_means_are_within_their_estimates(f, window, ref):
     r = elastic_mean(f, window)
     assert_routed(r, ref, LIMIT)
-    assert r.detail["stage"] in ("raw", "noise-floor", "extrapolated")
+    assert r.detail["stage"] in ("raw", "extrapolated")
 
 
 def test_log_weighted_average_of_identity_tends_to_zero():
@@ -334,13 +334,72 @@ def test_log_weighted_average_of_identity_tends_to_zero():
     assert_routed(r, 0.0, LIMIT)
 
 
-@pytest.mark.xfail(strict=True, reason="the best-pair extrapolant misses 1 by 5x its estimate")
 def test_log_sinh_weighted_mean_tends_to_the_value_at_0():
     # g = ln(sinh x) → −∞ at 0, so the weight concentrates on f(0+) = 1;
-    # the windows never settle, and the best pair of linear extrapolants
-    # reads 1.0000065 with an estimate of 1.3e-6
+    # the quotient is 1 + C·t in t = 1/|g(b) − g(a)|, not in 1/ln(b/a)
     r = class_II_mean("1+x", Interval(0.0, 0.3, lo_open=True), "ln(sinh(x))")
     assert_routed(r, 1.0, LIMIT)
+    assert r.detail["stage"] == "extrapolated"
+
+
+OPEN_UNIT = Interval(0.0, 1.0, lo_open=True)
+
+
+# Under an x-map that diverges at an open end, the weight concentrates
+# there, so each mean is f's value at that end (and at both ends, 2, for
+# ln(tan(x/2)) over (0, π)); the y-map enters only through h⁻¹ of the
+# limit.
+@pytest.mark.parametrize(
+    "mean, ref",
+    [
+        (lambda: class_IV_mean("1+x", OPEN_UNIT, "ln(x)", "ln(y)"), 1.0),
+        (lambda: class_IV_mean("2+x", OPEN_UNIT, "ln(x)", "y^2"), 2.0),
+        (lambda: class_IV_mean("1+x", OPEN_UNIT, "-1/x", "ln(y)"), 1.0),
+        (lambda: class_IV_mean("1+x", OPEN_UNIT, "ln(x)", "1/y"), 1.0),
+        (lambda: class_II_mean("1+x", OPEN_UNIT, "-x^(-0.5)"), 1.0),
+        (
+            lambda: class_IV_mean(
+                "2+sin(x)",
+                Interval(0.0, math.pi, lo_open=True, hi_open=True),
+                "ln(tan(x/2))",
+                "y",
+            ),
+            2.0,
+        ),
+    ],
+    ids=["ln-ln", "ln-square", "reciprocal-ln", "ln-reciprocal", "rsqrt", "ln-tan-half"],
+)
+def test_quotient_limits_under_diverging_x_maps(mean, ref):
+    r = mean()
+    assert_routed(r, ref, LIMIT)
+    assert r.detail["stage"] == "extrapolated"
+
+
+def test_class_VII_limit_without_extrapolation_keeps_the_raw_stage():
+    # F = sin(x)/x stays bounded at 0: no t is supplied, and the raw values
+    # settle on their own.  ∫ x F′ over (0, 2] is 2F(2) − Si(2), F(0+) = 1.
+    with mpmath.workdps(30):
+        u = (mpmath.sin(2) - mpmath.si(2)) / (mpmath.sin(2) / 2 - 1)
+        ref = float(mpmath.sin(u) / u)
+    r = class_VII_mean("sin(x)/x", Interval(0.0, 2.0, lo_open=True))
+    assert_routed(r, ref, LIMIT)
+    assert r.detail["stage"] == "raw"
+
+
+@pytest.mark.parametrize(
+    "mean",
+    [
+        # the mean point tends to 0, where f is infinite
+        lambda: class_VII_mean("ln(x)", OPEN_UNIT),
+        lambda: class_VII_mean("1/x", OPEN_UNIT),
+        # ∫ x^(−1/2)/x over [ε, 1] outgrows ln(1/ε)
+        lambda: elastic_mean("1/sqrt(x)", OPEN_UNIT),
+    ],
+    ids=["VII ln", "VII 1/x", "elastic 1/sqrt"],
+)
+def test_an_infinite_limit_mean_is_divergent(mean):
+    with pytest.raises(DivergentIntegralError):
+        mean()
 
 
 def test_elastic_tangent_settles_in_fewer_than_eleven_windows(monkeypatch):

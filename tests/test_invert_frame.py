@@ -99,6 +99,22 @@ def test_non_monotone_source_is_rejected():
         generator_map("sin(x)", Interval(0.0, 3.0))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: generator_map(np.exp, Interval(1.0, 2.0)),
+        lambda: class_I_mean("x", Interval(1.0, 2.0), np.exp),
+        lambda: funmean.class_II_mean("x", Interval(1.0, 2.0), np.exp),
+        lambda: funmean.class_IV_mean("x", Interval(1.0, 2.0), np.exp, "y"),
+    ],
+    ids=["generator_map", "I", "II", "IV"],
+)
+def test_an_array_callable_map_is_a_precondition_error(build):
+    # a map needs an expression to differentiate and invert
+    with pytest.raises(PreconditionError, match="needs an expression"):
+        build()
+
+
 def test_degenerate_domain_is_rejected():
     with pytest.raises(Exception, match="non-degenerate"):
         generator_map("x", Interval(1.0, 1.0))
