@@ -157,8 +157,8 @@ def _second_derivative_samples(f: FnLike, xs: np.ndarray) -> np.ndarray:
 
 def _sampled_signs(values_of, f: FnLike, d: Interval, samples: int, floor: Optional[float]):
     """The grid points of `d` where ``values_of(f, xs)`` is finite, those
-    values, and their masks (pos, neg, zero) against `floor`; or None when
-    the sign is Unknown.  A `floor` of None is the noise floor of finite
+    values, their sign masks (pos, neg) against `floor` and the counts
+    (npos, nneg) of those masks; or None when the sign is Unknown.  A `floor` of None is the noise floor of finite
     differences, 1e-5 of the largest magnitude and at least 1e-9.
 
     It is Unknown below 16 finite samples, and when both signs occur and
@@ -178,12 +178,11 @@ def _sampled_signs(values_of, f: FnLike, d: Interval, samples: int, floor: Optio
     npos, nneg = np.count_nonzero(pos), np.count_nonzero(neg)
     if npos > 0 and nneg > 0:
         minority, majority = (neg, pos) if npos >= nneg else (pos, neg)
-        n_min = np.count_nonzero(minority)
         min_mag = float(np.max(np.abs(vals[minority])))
         maj_mag = float(np.max(np.abs(vals[majority])))
-        if n_min <= _MINORITY_MAX and min_mag < _NOISE_RATIO * maj_mag:
+        if min(npos, nneg) <= _MINORITY_MAX and min_mag < _NOISE_RATIO * maj_mag:
             return None
-    return xs, vals, pos, neg, ~pos & ~neg
+    return xs, vals, pos, neg, npos, nneg
 
 
 def _refine_crossing(deriv_at, xl: float, xr: float, span: float):
@@ -208,8 +207,7 @@ def classify_monotonicity(f: FnLike, d: Interval, samples: int = DEFAULT_SAMPLES
     read = _sampled_signs(_derivative_samples, f, d, samples, _SIGN_FLOOR)
     if read is None:
         return MonotonicityClass(UNKNOWN, resolution=samples)
-    xs, vals, pos, neg, zero = read
-    npos, nneg = np.count_nonzero(pos), np.count_nonzero(neg)
+    xs, vals, pos, neg, npos, nneg = read
     if npos > 0 and nneg > 0:
         # Solid sign reversal: locate an adjacent straddling pair and refine.
         signs = np.where(pos, 1, np.where(neg, -1, 0))
@@ -234,7 +232,7 @@ def classify_monotonicity(f: FnLike, d: Interval, samples: int = DEFAULT_SAMPLES
             xr = float(xs[neg][np.argmin(vals[neg])])
             dl, dr = float(deriv_at(xl)), float(deriv_at(xr))
         return MonotonicityClass(NON_MONOTONE, witnesses=((xl, dl), (xr, dr)), resolution=samples)
-    nzero = np.count_nonzero(zero)
+    nzero = xs.size - npos - nneg
     if npos > 0 or nneg > 0:
         if nzero > xs.size // 8:
             # A large flat stretch: monotone but possibly not strictly.
@@ -256,15 +254,14 @@ def classify_convexity(f: FnLike, d: Interval, samples: int = DEFAULT_SAMPLES) -
     read = _sampled_signs(_second_derivative_samples, f, d, samples, floor)
     if read is None:
         return ConvexityClass(UNKNOWN, resolution=samples)
-    xs, vals, pos, neg, zero = read
-    npos, nneg = np.count_nonzero(pos), np.count_nonzero(neg)
+    xs, vals, pos, neg, npos, nneg = read
     if npos > 0 and nneg > 0:
         ip = int(np.argmax(np.where(pos, vals, -np.inf)))
         im = int(np.argmin(np.where(neg, vals, np.inf)))
         w_pos = _bracket_around(xs, ip)
         w_neg = _bracket_around(xs, im)
         return ConvexityClass(MIXED, witnesses=(w_pos, w_neg), resolution=samples)
-    nzero = np.count_nonzero(zero)
+    nzero = xs.size - npos - nneg
     # A couple of floor-level samples (an isolated inflection touch, or the
     # far tail of an unbounded domain) do not spoil strictness.
     if npos > 0:

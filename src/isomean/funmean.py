@@ -29,6 +29,7 @@ from typing import Callable, Union
 import numpy as np
 
 from ._errors import (
+    DivergentIntegralError,
     DomainError,
     InversionError,
     IsomeanError,
@@ -173,10 +174,13 @@ def _direct_or_limit(quotient, finish, integrand, a: float, b: float):
     the direct evaluation raises DomainError or InversionError (a map
     undefined at the boundary, a ratio outside the y-map's image); a
     DivergentIntegralError propagates.  The limit is taken of the quotient,
-    and ``finish`` is applied once, to the limit.  The limit's windows are
-    integrated over nested strips by :func:`quadrature.window_integrals`,
-    each strip held to ``min(_LIMIT_SUBDIV, max_subdivisions())``
-    subdivisions.
+    and ``finish`` is applied once, to the limit.  Where ``finish`` fails
+    anywhere on the limit's error band (the band reaches an end of the
+    y-map's image, or of class VII's window), the window means tend to
+    infinity or to a value the map is undefined at, and the limit raises
+    DivergentIntegralError.  The limit's windows are integrated over nested
+    strips by :func:`quadrature.window_integrals`, each strip held to
+    ``min(_LIMIT_SUBDIV, max_subdivisions())`` subdivisions.
 
     Returns ``(value, error, method, detail)``.
     """
@@ -187,7 +191,16 @@ def _direct_or_limit(quotient, finish, integrand, a: float, b: float):
         budget = min(_LIMIT_SUBDIV, max_subdivisions())
         integral_on = window_integrals(integrand, a, b, budget)
         u, err, stage = endpoint_limit(lambda ak, bk: quotient(ak, bk, integral_on)[:2], a, b)
-        return (*finish(u, err), "quadrature+endpoint-limit", {"stage": stage})
+        try:
+            finish(u - err, 0.0)
+            finish(u + err, 0.0)
+            value, err = finish(u, err)
+        except (DomainError, InversionError) as exc:
+            raise DivergentIntegralError(
+                f"the limit {u} ± {err:.3g} of the quotient reaches an end of the "
+                "map's domain, where the mean is not finite"
+            ) from exc
+        return value, err, "quadrature+endpoint-limit", {"stage": stage}
 
 
 def dvi_mean(problem: MeanProblem) -> MeanResult:
@@ -428,7 +441,9 @@ def class_VII_mean(f: FnLike, fdomain: Interval) -> MeanResult:
         return total / dF, None, err_i / abs(dF), {"numerator": total, "denominator": dF}
 
     def finish(u: float, err: float):
-        return fscal(u), abs(F.derivative_at(u)) * err if math.isfinite(u) else math.inf
+        if not d.contains(u):
+            raise DomainError(f"mean point {u} lies outside {d}")
+        return fscal(u), abs(F.derivative_at(u)) * err
 
     value, err, method, detail = _direct_or_limit(quotient, finish, weight, a, b)
     if not math.isfinite(value):

@@ -392,10 +392,15 @@ def test_class_VII_limit_without_extrapolation_keeps_the_raw_stage():
         # the mean point tends to 0, where f is infinite
         lambda: class_VII_mean("ln(x)", OPEN_UNIT),
         lambda: class_VII_mean("1/x", OPEN_UNIT),
+        lambda: class_VII_mean("1/(x-1)", Interval(1.0, 2.0, lo_open=True)),
+        # the raw quotient settles within its error of the open end 1
+        lambda: class_VII_mean("1/(x-1)^2", Interval(1.0, 2.0, lo_open=True)),
         # ∫ x^(−1/2)/x over [ε, 1] outgrows ln(1/ε)
         lambda: elastic_mean("1/sqrt(x)", OPEN_UNIT),
+        # the quotient tends to 0, the end of exp(−y)'s image, as f(0+) = ∞
+        lambda: class_IV_mean("-ln(x)", OPEN_UNIT, "ln(x)", "exp(-y)"),
     ],
-    ids=["VII ln", "VII 1/x", "elastic 1/sqrt"],
+    ids=["VII ln", "VII 1/x", "VII 1/(x-1)", "VII 1/(x-1)^2", "elastic 1/sqrt", "ln-exp(-y)"],
 )
 def test_an_infinite_limit_mean_is_divergent(mean):
     with pytest.raises(DivergentIntegralError):
