@@ -142,9 +142,7 @@ def _emit_record(spec: RunSpec, record: dict, order: Sequence[str]) -> None:
     if spec.fmt == "json":
         print(json.dumps({k: record.get(k) for k in order}, indent=2))
     elif spec.fmt == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(order)
-        w.writerow([_csv_cell(record.get(k)) for k in order])
+        _emit_rows(spec, order, [record])
     else:
         for k in order:
             v = record.get(k)
@@ -446,13 +444,7 @@ def cmd_verify(spec: RunSpec) -> int:
     if spec.fmt == "json":
         print(json.dumps(rep, indent=2))
     elif spec.fmt == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(["name", "group", "passed", "residual", "tolerance", "detail"])
-        for c in rep["checks"]:
-            w.writerow(
-                [c["name"], c["group"], _csv_cell(c["passed"]), repr(c["residual"]),
-                 repr(c["tolerance"]), c["detail"]]
-            )
+        _emit_rows(spec, ["name", "group", "passed", "residual", "tolerance", "detail"], rep["checks"])
     else:
         for c in results:
             print(c.line())

@@ -80,7 +80,7 @@ from .frame import (
 )
 from .funmean import MeanProblem, MeanResult, _coerce_f, class_II_mean, dvi_mean
 from .intervals import Interval
-from .nummean import _RATIO_RELATION, _jensen_reading, _signed_ratio_classifier
+from .nummean import _RATIO_RELATION, _jensen_reading, _ratio_classifier
 from .verdict import EQ, GE, GT, LE, LT, UNDECIDED, Verdict
 
 SCENARIOS = (
@@ -230,7 +230,7 @@ def make_scenario(f, fdomain: Interval, left, right) -> ComparisonScenario:
 
 
 def _ratio_class(num: GeneratorMap, den: GeneratorMap, window: Interval) -> MonotonicityClass:
-    return classify_monotonicity(_signed_ratio_classifier(num, den, absolute=True), window)
+    return classify_monotonicity(_ratio_classifier(num, den), window)
 
 
 def _map_window(m: GeneratorMap, w: Interval) -> Optional[Interval]:

@@ -22,6 +22,7 @@ estimate.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Union
@@ -240,7 +241,8 @@ def dvi_mean(problem: MeanProblem) -> MeanResult:
     detail = {"range_hull": str(hull), "generalized": generalized, **extra}
     slack = max(1e-6, 1e-6 * abs(value), 10.0 * err)
     if not hull.contains(value, slack=slack):
-        hull = _hull_with_end_limits(problem)
+        # The sampled hull only approaches f's finite limits at open ends.
+        hull = hull_of(v for v in (hull.lo, hull.hi, *_end_limits(problem.f, d)) if math.isfinite(v))
         if not hull.contains(value, slack=slack):
             raise IsomeanError(
                 f"computed mean {value} escapes the value hull {hull}; "
@@ -249,19 +251,15 @@ def dvi_mean(problem: MeanProblem) -> MeanResult:
     return MeanResult(value, err, method, detail)
 
 
-def _hull_with_end_limits(problem: MeanProblem) -> Interval:
-    """The value hull widened by f's finite one-sided limits at the open
-    ends of the window, which the sampled hull only approaches."""
-    d, m = problem.fdomain, problem.range_hull
-    fvec = as_vector_fn(problem.f)
-    values = [m.lo, m.hi]
+def _end_limits(f, d: Interval) -> list:
+    """f's one-sided limits, finite or not, at the open ends of `d`."""
+    fvec = as_vector_fn(f)
+    out = []
     for side, is_open in (("lo", d.lo_open), ("hi", d.hi_open)):
         if is_open:
-            try:
-                values.append(_limit_toward(fvec, d, side))
-            except DomainError:
-                pass
-    return hull_of(v for v in values if math.isfinite(v))
+            with suppress(DomainError):
+                out.append(_limit_toward(fvec, d, side))
+    return out
 
 
 def dvi_mean_riemann_oracle(problem: MeanProblem, n: int) -> float:
@@ -339,7 +337,10 @@ def _value_map(source, f, fdomain: Interval) -> GeneratorMap:
     Widening keeps numerically computed means strictly inside the map's
     domain.  An end is only widened where the map stays evaluable, so a
     constant f under a map undefined just below it keeps its value as the
-    window's end.
+    window's end.  Where the widened window takes in a pole of the map, only
+    the ends f approaches at an open end of `fdomain` stay widened: so the
+    pole of 1/y at 0 is an error beside x on (0, 1], and that of −1/y is not
+    beside 1/x on (0, 1], whose values start at 1.
     """
     if isinstance(source, GeneratorMap):
         return source
@@ -352,7 +353,15 @@ def _value_map(source, f, fdomain: Interval) -> GeneratorMap:
     fn = as_scalar_fn(source)
     lo = lo if _finite_at(fn, lo) else m.lo
     hi = hi if _finite_at(fn, hi) else m.hi
-    return generator_map(source, Interval(lo, hi))
+    try:
+        return generator_map(source, Interval(lo, hi))
+    except DomainError:
+        if m.degenerate:
+            raise
+        ends = _end_limits(f, fdomain)
+        lo = lo if any(e <= m.lo for e in ends) else m.lo
+        hi = hi if any(e >= m.hi for e in ends) else m.hi
+        return generator_map(source, Interval(lo, hi))
 
 
 def _finite_at(fn, x: float) -> bool:

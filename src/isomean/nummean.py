@@ -7,18 +7,17 @@ The mean of a tuple ``x`` with weights ``p`` under a strictly monotone map
 
 Two such means over the same window can often be ordered for *every*
 admissible tuple at once.  :func:`compare_number_means` decides that order
-via two independent criteria:
+by the first of two criteria that classifies:
 
 * the **ratio criterion**: monotonicity of ``|g'/h'|`` on the window, and
 * the **Jensen criterion**: convexity of ``g∘h⁻¹`` on the h-image of the
-  window (the classical quasi-arithmetic comparison condition),
+  window (the classical quasi-arithmetic comparison condition).
 
-and then cross-checks the outcome against a parity rule on the signed
-ratio ``h'/g'``: when that ratio and both maps classify strictly, an odd
-number of increasing functions among ``{h'/g', h, g}`` forces
-``mean_g <= mean_h`` and an even number forces the reverse.  A mismatch
-between the routes raises :class:`ComparisonContradiction` rather than
-silently picking one.
+A decided verdict is then checked on both means of a grid of two-point
+tuples: such an order holds for every weighted tuple exactly when it holds
+for every two-point one (Hardy, Littlewood and Pólya, *Inequalities*, ch.
+III).  A difference of the wrong sign beyond the means' rounding raises
+:class:`ComparisonContradiction` rather than passing the verdict on.
 """
 from __future__ import annotations
 
@@ -37,10 +36,12 @@ from .classify import (
     STRICTLY_INCREASING,
     classify_convexity,
     classify_monotonicity,
+    sample_grid,
 )
 from .expr import absx, differentiate, div, substitute
 from .frame import GeneratorMap, estimate_range_hull, recall
 from .intervals import Interval
+from .invert import _tolerance
 from .verdict import EQ, GE, LE, UNDECIDED, Verdict
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -105,22 +106,20 @@ _DERIVED_SIZE = 32
 _derived: OrderedDict = OrderedDict()
 
 
-def _signed_ratio_classifier(num: GeneratorMap, den: GeneratorMap, absolute: bool):
-    """The ratio num'/den' (optionally |·|) as an Expr, or else as an
-    array callable; built once per pair of map objects (see `_derived`)."""
-    return recall(_derived, _DERIVED_SIZE, ("ratio", id(num), id(den), absolute), (num, den),
-                  lambda: _ratio(num, den, absolute))
+def _ratio_classifier(num: GeneratorMap, den: GeneratorMap):
+    """The ratio |num'/den'| as an Expr, or else as an array callable;
+    built once per pair of map objects (see `_derived`)."""
+    return recall(_derived, _DERIVED_SIZE, ("ratio", id(num), id(den)), (num, den),
+                  lambda: _ratio(num, den))
 
 
-def _ratio(num: GeneratorMap, den: GeneratorMap, absolute: bool):
+def _ratio(num: GeneratorMap, den: GeneratorMap):
     if num.expr is not None and den.expr is not None:
-        ratio = div(differentiate(num.expr), differentiate(den.expr))
-        return absx(ratio) if absolute else ratio
+        return absx(div(differentiate(num.expr), differentiate(den.expr)))
 
     def ratio_fn(xs: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
-            v = num.derivative_many(xs) / den.derivative_many(xs)
-        return np.abs(v) if absolute else v
+            return np.abs(num.derivative_many(xs) / den.derivative_many(xs))
 
     return ratio_fn
 
@@ -164,31 +163,43 @@ def _jensen_reading(l: GeneratorMap, r: GeneratorMap, window: Interval, samples:
     return conv, rel, f"case {case}"
 
 
-def _parity_check(g: GeneratorMap, h: GeneratorMap, d: Interval, samples: int):
-    """Relation implied by the parity rule, or None when it does not apply.
-
-    Counts increasing members of {h'/g', h, g}: odd count means the g-mean
-    sits below the h-mean, even count means above.  A constant ratio means
-    the maps differ by an affine transform, which leaves the mean unchanged.
-    """
-    ratio = _signed_ratio_classifier(h, g, absolute=False)
-    mono = classify_monotonicity(ratio, d, samples)
-    if mono.kind == CONSTANT:
-        return EQ
-    if not mono.is_strictly_monotone:
-        return None
-    count = int(mono.is_strictly_increasing) + int(h.increasing) + int(g.increasing)
-    return LE if count % 2 == 1 else GE
+# The two-point tuples (x_I, x_J; P, 1 − P) a decided verdict is checked on:
+# every pair I < J of 17 grid points, under each weight P of 1/4, 1/2, 3/4.
+_CHECK_POINTS = 17
+_I, _J = np.tile(np.triu_indices(_CHECK_POINTS, 1), 3)
+_P = np.repeat((0.25, 0.5, 0.75), len(_I) // 3)
 
 
-def _compatible(primary: str, parity: str) -> bool:
-    if parity == EQ:
-        # Equality is admitted by both GE and LE.
-        return primary in (GE, LE, EQ)
-    if primary == EQ:
-        # A strict parity classification rules out identical means.
-        return False
-    return primary == parity
+def _check_two_point_means(verdict: Verdict, g: GeneratorMap, h: GeneratorMap, d: Interval) -> dict:
+    """Test a decided verdict on both means of every check tuple drawn from
+    `d`, skipping and counting those whose inversion fails.  Raises
+    ComparisonContradiction naming the worst tuple; else returns the tuple
+    and skipped counts and the worst margin (the least room, ≥ 0, between a
+    difference and breaking the verdict)."""
+    xs = sample_grid(d, _CHECK_POINTS)
+    means, slack = [], 0.0
+    for m in (g, h):
+        v = m.value_many(xs)
+        us = _P * v[_I] + (1.0 - _P) * v[_J]
+        means.append(m._preimages(us))
+        # A mean's rounding: the inversion's tolerance carried back through m′.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slack = slack + _tolerance(us) / np.abs(m.derivative_many(means[-1]))
+    mg, mh = means
+    diff = mg - mh
+    slack = slack + 4.0 * np.spacing(np.maximum(np.abs(mg), np.abs(mh)))
+    kept = ~np.isnan(diff)
+    # The difference in the verdict's direction; any gap counts against EQ.
+    toward = -np.abs(diff) if verdict.relation == EQ else verdict.direction() * diff
+    margin = np.where(kept, slack + toward, np.inf)
+    k = int(np.argmin(margin))
+    if not np.all(verdict.agrees_with_sign(diff[kept], slack[kept])):
+        raise ComparisonContradiction(
+            f"criterion says {verdict.relation} ({verdict.justification}) but on {d} the"
+            f" tuple ({xs[_I[k]]}, {xs[_J[k]]}; {_P[k]}, {1.0 - _P[k]}) has means"
+            f" {mg[k]} and {mh[k]}: difference {diff[k]}, slack {slack[k]}"
+        )
+    return {"tuples": len(diff), "skipped": int(np.count_nonzero(~kept)), "worst_margin": float(margin[k])}
 
 
 def compare_number_means(
@@ -213,7 +224,7 @@ def compare_number_means(
 
     evidence = {"window": str(d), "resolution": samples}
 
-    mono = classify_monotonicity(_signed_ratio_classifier(g, h, absolute=True), d, samples)
+    mono = classify_monotonicity(_ratio_classifier(g, h), d, samples)
     rel = _RATIO_RELATION.get(mono.kind)
     if rel is not None:
         verdict = Verdict(rel, "ratio-criterion", dict(evidence, route="ratio"))
@@ -226,14 +237,5 @@ def compare_number_means(
             return Verdict(UNDECIDED, "no-criterion-applied", ev)
         verdict = Verdict(rel, f"jensen-criterion {label}", ev)
 
-    parity = _parity_check(g, h, d, samples)
-    if parity is None:
-        verdict.evidence["cross_check"] = "parity skipped (ratio not classified)"
-        return verdict
-    verdict.evidence["cross_check"] = f"parity agrees ({parity})"
-    if not _compatible(verdict.relation, parity):
-        raise ComparisonContradiction(
-            f"criterion says {verdict.relation} ({verdict.justification}) but the"
-            f" parity rule says {parity} on {d}"
-        )
+    verdict.evidence["numeric"] = _check_two_point_means(verdict, g, h, d)
     return verdict

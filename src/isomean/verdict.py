@@ -83,22 +83,18 @@ class Verdict:
             return 0
         raise ValueError("verdict is undecided; it has no direction")
 
-    def agrees_with_sign(self, diff: float, slack: float) -> bool:
+    def agrees_with_sign(self, diff, slack):
         """Check a numeric difference ``left - right`` against the verdict.
 
         ``slack`` is the numeric noise allowance: differences within
         ``slack`` of zero are compatible with every decided relation
-        (a strict verdict may legitimately have a tiny gap).
+        (a strict verdict may legitimately have a tiny gap).  Given arrays,
+        it checks each difference against its slack and returns an array.
         """
-        if not self.decided:
-            return True
-        if abs(diff) <= slack:
-            # Equality within noise contradicts nothing: GE/LE allow it,
-            # and a strict gap below resolution is indistinguishable.
-            return True
+        within = abs(diff) <= slack
         if self.relation == EQ:
-            return False
-        return (diff > 0) == (self.direction() > 0)
+            return within
+        return within | (not self.decided or (diff > 0) == (self.direction() > 0))
 
     def __str__(self) -> str:
         return f"{self.relation} [{self.justification}]"

@@ -7,6 +7,7 @@ them all, or ``isomean verify`` for the same table outside pytest.
 """
 import pytest
 
+from isomean import verify
 from isomean.verify import GROUPS, report, run_checks
 
 
@@ -26,3 +27,23 @@ def test_full_report_summary():
     assert rep["total"] == len(results) >= 49
     assert rep["passed"] is True
     assert rep["failures"] == 0
+
+
+def test_every_decided_verdict_is_checked_on_computed_means(monkeypatch):
+    # Both comparison routines, over the comparisons the checks make: each
+    # decided verdict carries the evidence of its check on computed means.
+    verdicts = []
+
+    def recording(name, inner):
+        def call(*args):
+            verdicts.append((name, inner(*args)))
+            return verdicts[-1][1]
+
+        return call
+
+    for name in ("compare_function_means", "compare_number_means"):
+        monkeypatch.setattr(verify, name, recording(name, getattr(verify, name)))
+    assert all(c.passed for c in run_checks("comparison"))
+    decided = [(name, v) for name, v in verdicts if v.decided]
+    assert {name for name, _ in decided} == {"compare_function_means", "compare_number_means"}
+    assert [(name, str(v)) for name, v in decided if "numeric" not in v.evidence] == []

@@ -302,6 +302,21 @@ def test_verify_single_group_json(run):
     assert all(c["group"] == "geometric" for c in rep["checks"])
 
 
+def test_verify_csv_rows_are_the_json_checks(run):
+    rc, out, _ = run("verify", "--only", "g-vs-e", "--format", "json")
+    assert rc == 0
+    checks = json.loads(out)["checks"]
+    rc, out, _ = run("verify", "--only", "g-vs-e", "--format", "csv")
+    assert rc == 0
+    want = io.StringIO()
+    w = csv.writer(want, lineterminator="\n")
+    w.writerow(["name", "group", "passed", "residual", "tolerance", "detail"])
+    for c in checks:
+        w.writerow([c["name"], c["group"], "true" if c["passed"] else "false",
+                    repr(c["residual"]), repr(c["tolerance"]), c["detail"]])
+    assert out == want.getvalue()
+
+
 def test_verify_plain_lines(run):
     rc, out, _ = run("verify", "--only", "elastic")
     assert rc == 0
@@ -369,6 +384,17 @@ def test_exit_pole_in_the_value_map(run):
     )
     assert rc == 3
     assert "pole" in err
+
+
+def test_exit_divergent_beside_a_pole_of_the_value_map(run):
+    # 1/x on (0, 1] takes the values [1, ∞): −1/y's pole at 0 is outside
+    # them, and the mean is infinite
+    rc, _, err = run(
+        "mean", "--class", "IV", "--f", "1/x", "--g", "ln(x)", "--h=-1/y",
+        "--a", "0", "--b", "1", "--open-a",
+    )
+    assert rc == 5
+    assert "divergent" in err
 
 
 def test_exit_non_monotone_map(run):

@@ -399,8 +399,12 @@ def test_class_VII_limit_without_extrapolation_keeps_the_raw_stage():
         lambda: elastic_mean("1/sqrt(x)", OPEN_UNIT),
         # the quotient tends to 0, the end of exp(−y)'s image, as f(0+) = ∞
         lambda: class_IV_mean("-ln(x)", OPEN_UNIT, "ln(x)", "exp(-y)"),
+        # the quotient tends to 0, where −1/y's inverse is infinite; the
+        # y-map's window keeps the pad at 1/x's infinite end only
+        lambda: class_IV_mean("1/x", OPEN_UNIT, "ln(x)", "-1/y"),
     ],
-    ids=["VII ln", "VII 1/x", "VII 1/(x-1)", "VII 1/(x-1)^2", "elastic 1/sqrt", "ln-exp(-y)"],
+    ids=["VII ln", "VII 1/x", "VII 1/(x-1)", "VII 1/(x-1)^2", "elastic 1/sqrt", "ln-exp(-y)",
+         "1/x-(-1/y)"],
 )
 def test_an_infinite_limit_mean_is_divergent(mean):
     with pytest.raises(DivergentIntegralError):

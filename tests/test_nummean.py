@@ -3,12 +3,13 @@ import math
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import isomean.expr as expr_mod
 from isomean import nummean
-from isomean._errors import WeightError
+from isomean._errors import ComparisonContradiction, WeightError
 from isomean.classify import classify_convexity
 from isomean.frame import generator_map
 from isomean.intervals import Interval
@@ -18,6 +19,7 @@ from isomean.nummean import (
     iso_mean,
     iso_weighted_mean,
 )
+from isomean.verdict import Verdict
 
 POS = Interval(0.05, 50.0)
 
@@ -136,6 +138,12 @@ def test_verdict_direction_and_agreement_api():
     assert not v.agrees_with_sign(+0.01, 1e-9)
 
 
+def assert_checked_on_two_point_means(numeric):
+    assert list(numeric) == ["tuples", "skipped", "worst_margin"]
+    assert (numeric["tuples"], numeric["skipped"]) == (408, 0)
+    assert numeric["worst_margin"] >= 0.0
+
+
 _POWER_DOMAIN = Interval(0.0, math.inf, lo_open=True)
 _EXP_DOMAIN = Interval(-1.0, 5.0)
 
@@ -153,12 +161,9 @@ _EXP_DOMAIN = Interval(-1.0, 5.0)
 def test_ratio_route_justification_and_evidence(g, h, domain, relation):
     v = compare_number_means(generator_map(g, domain), generator_map(h, domain), Interval(0.7, 1.9))
     assert (v.relation, v.justification) == (relation, "ratio-criterion")
-    assert v.evidence == {
-        "window": "[0.7, 1.9]",
-        "resolution": 257,
-        "route": "ratio",
-        "cross_check": f"parity agrees ({relation})",
-    }
+    numeric = v.evidence.pop("numeric")
+    assert v.evidence == {"window": "[0.7, 1.9]", "resolution": 257, "route": "ratio"}
+    assert_checked_on_two_point_means(numeric)
 
 
 # For g = x + x^22/22 against h = x on [0.01, 1], the derivative 21·x^20 of
@@ -188,13 +193,49 @@ def test_jensen_route_cases(g, h, relation, case):
     gm, hm = generator_map(g, _JENSEN_DOMAIN), generator_map(h, _JENSEN_DOMAIN)
     v = compare_number_means(gm, hm, Interval(0.01, 1.0))
     assert (v.relation, v.justification) == (relation, f"jensen-criterion case {case}")
-    assert list(v.evidence) == ["window", "resolution", "route", "conjugate_window", "cross_check"]
+    assert list(v.evidence) == ["window", "resolution", "route", "conjugate_window", "numeric"]
     assert v.evidence["route"] == "jensen"
-    assert v.evidence["cross_check"] == "parity skipped (ratio not classified)"
+    assert_checked_on_two_point_means(v.evidence["numeric"])
     # The verdict speaks of every tuple in the window; test it on one.
     xs = [0.05, 0.5, 0.97]
     diff = iso_mean(xs, gm) - iso_mean(xs, hm)
     assert v.agrees_with_sign(diff, 1e-12)
+
+
+def test_a_flipped_jensen_reading_contradicts_the_two_point_means(monkeypatch):
+    reading = nummean._jensen_reading
+
+    def flipped(*args):
+        conv, rel, label = reading(*args)
+        return conv, {"GE": "LE", "LE": "GE"}[rel], label
+
+    monkeypatch.setattr(nummean, "_jensen_reading", flipped)
+    gm, hm = generator_map("x + x^22/22", _JENSEN_DOMAIN), generator_map("x", _JENSEN_DOMAIN)
+    with pytest.raises(ComparisonContradiction, match="jensen-criterion case 1"):
+        compare_number_means(gm, hm, Interval(0.01, 1.0))
+
+
+@pytest.mark.parametrize(
+    "g, h, kind, flipped",
+    [
+        ("x^3", "x^1.5", "StrictlyIncreasing", "LE"),
+        ("x^1.5", "x^3", "StrictlyDecreasing", "GE"),
+        ("x^3", "x^1.5", "StrictlyIncreasing", "EQ"),
+    ],
+)
+def test_a_flipped_ratio_relation_contradicts_the_two_point_means(monkeypatch, g, h, kind, flipped):
+    monkeypatch.setitem(nummean._RATIO_RELATION, kind, flipped)
+    gm, hm = generator_map(g, _POWER_DOMAIN), generator_map(h, _POWER_DOMAIN)
+    with pytest.raises(ComparisonContradiction, match=f"criterion says {flipped}"):
+        compare_number_means(gm, hm, Interval(0.7, 1.9))
+
+
+@pytest.mark.parametrize("relation", ["GE", "LE", "GT", "LT", "EQ", "Undecided"])
+def test_agreement_on_arrays_is_agreement_on_each_element(relation):
+    v = Verdict(relation, "pinned")
+    diffs = [-2.0, -0.5, 0.0, 0.5, 2.0, math.nan]
+    got = v.agrees_with_sign(np.array(diffs), np.ones(len(diffs)))
+    assert got.tolist() == [v.agrees_with_sign(x, 1.0) for x in diffs]
 
 
 def test_degenerate_window_is_pinned():
@@ -265,8 +306,9 @@ def test_the_conjugate_tree_is_built_once_per_pair(monkeypatch):
     phi = nummean._conjugate_fn(g, h)
     assert nummean._conjugate_fn(g, h) is phi
     assert nummean._conjugate_fn(h, g) is not phi
-    # a ratio and its absolute value are two entries
-    assert nummean._signed_ratio_classifier(g, h, True) is not nummean._signed_ratio_classifier(g, h, False)
+    ratio = nummean._ratio_classifier(g, h)
+    assert nummean._ratio_classifier(g, h) is ratio
+    assert nummean._ratio_classifier(h, g) is not ratio
     w = Interval(-1.0, 2.0)
     assert classify_convexity(phi, w).kind == "StrictlyConvex"
     lowered, original = [], expr_mod._lower
@@ -293,7 +335,7 @@ def test_the_derived_tree_memo_holds_its_bound_under_threads():
         try:
             for k in range(200):
                 g = maps[(k + offset) % len(maps)]
-                nummean._signed_ratio_classifier(g, h, k % 2 == 0)
+                nummean._ratio_classifier(*((g, h) if k % 2 == 0 else (h, g)))
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
