@@ -15,17 +15,22 @@ It prints each side's median rate (operations per second over a round, the
 figure perfbench reports as ``ops_per_s``), the median and quartiles of the
 per-round ratio CHANGE / BASE, and whether every result of each side passed
 perfbench's checks.  The last line of standard output is one JSON object
-with the same figures.  ``perfbench/`` is only read.
+with the same figures and the Python and NumPy versions and CPU count of
+the run.  ``perfbench/`` is only read.
 """
 from __future__ import annotations
 
 import argparse
 import importlib
 import json
+import os
+import platform
 import statistics
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy
 
 # The modules each side owns: its library and perfbench's own modules.
 _PERFBENCH_MODULES = ("run", "workloads", "refs")
@@ -118,6 +123,9 @@ def main(argv=None) -> int:
         "ratio_q1": q1,
         "ratio_q3": q3,
         "correct": correct,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "cpus": os.cpu_count(),
     }))
     return 0
 

@@ -104,8 +104,9 @@ class GeneratorMap:
     `derivative_at` are their one-point calls, and `invert` takes the
     closed-form candidate of the inversion `_steps` when it passes the
     engine's own test, and otherwise makes the one-point call of
-    :func:`invert_monotone`.  The inverse map's views run the engine on
-    arrays.
+    :func:`invert_monotone`, which solves its one target in float
+    arithmetic and gives the same float as the engine's array loop.  The
+    inverse map's views run the engine on arrays.
     """
 
     expr: Optional[Expr]

@@ -9,12 +9,16 @@ closed-form candidates that meet the residual tolerance, brackets the other
 targets on one shared ladder of points, and solves them by Newton steps
 kept inside their brackets.  So a wrong closed-form branch (even powers on
 a negative domain, say) falls through to the numeric route instead of
-returning silently wrong values.
+returning silently wrong values.  Many targets are solved together on
+arrays.  One target, the last step of a mean, is solved by the same rules
+in float arithmetic, which gives the same float as the array loop at a
+fraction of the cost of one-element array operations.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Callable, Optional
 
 import numpy as np
@@ -248,6 +252,8 @@ def invert_monotone(
     meets :func:`residual_ok`, or when its bracket has collapsed to 8 ulps
     (the residual is then limited by the evaluation, not the search).
     After 200 steps a residual within a mixed 1e-9 is still accepted.
+    Many targets take these steps on arrays; a single one takes them in
+    float arithmetic (:func:`_solve_one`) and gets the same float.
     """
     u = np.asarray(us, dtype=float)
     if x0 is None:
@@ -268,7 +274,13 @@ def invert_monotone(
 
 @np.errstate(all="ignore")
 def _solve(fvec, dvec, d, u, increasing, idx, out) -> None:
-    """Bracket and Newton-solve the targets `u`, writing into `out[idx]`."""
+    """Bracket and Newton-solve the targets `u`, writing into `out[idx]`.
+
+    One target is solved by :func:`_solve_one`, which gives the same float.
+    """
+    if u.size == 1:
+        out[idx[0]] = _solve_one(fvec, dvec, d, float(u[0]), increasing)
+        return
     tol = _tolerance(u)
     sgn = 1.0 if increasing else -1.0
     t = sgn * u
@@ -316,3 +328,57 @@ def _solve(fvec, dvec, d, u, increasing, idx, out) -> None:
         x = xn
     ok = np.abs(fvec(x) - u) <= np.maximum(1e-9, 1e-9 * np.abs(u))
     out[idx[ok]] = x[ok]
+
+
+def _solve_one(fvec, dvec, d, u: float, increasing: bool) -> float:
+    """:func:`_solve` of the one target `u` in float arithmetic: NaN for none.
+
+    It runs the array loop's rules on floats: the same ladder, bracket
+    (`bisect_left` is `searchsorted` clipped to the ladder), secant start,
+    Newton or bisection step, 8-ulp collapse and 200-step cap.  The views
+    see one-element arrays of the very points the array loop passes them,
+    so the answer is the same float.  Where the array loop divides by zero
+    (a flat bracket in the secant, g′ = 0 in a Newton step), NumPy's ±inf
+    or NaN would fail the test that follows, so the float loop takes the
+    middle of the bracket there.
+    """
+    buf = np.empty(1)
+
+    def at(view, x: float) -> float:
+        buf[0] = x
+        return view(buf).item()
+
+    sgn = 1.0 if increasing else -1.0
+    t = sgn * u
+    ladder = _ladder(fvec, d, sgn, t, t)
+    if ladder is None:
+        return math.nan
+    lx, lv = zip(*(ladder * 2 if len(ladder) == 1 else ladder))
+    j = min(max(bisect_left(lv, t), 1), len(lv) - 1)
+    lo, hi, vlo, vhi = lx[j - 1], lx[j], lv[j - 1], lv[j]
+    if not vlo <= t <= vhi:
+        return math.nan
+    x = lo + (hi - lo) * ((t - vlo) / (vhi - vlo)) if vhi != vlo else math.nan
+    if not lo <= x <= hi:
+        x = 0.5 * (lo + hi)
+    step = hi - lo
+    for _ in range(200):
+        v = at(fvec, x)
+        if residual_ok_at(v, u):
+            return x
+        r = v - u
+        if r > 0.0 if increasing else r < 0.0:
+            hi = x
+        else:
+            lo = x
+        slope = at(dvec, x)
+        xn = x - r / slope if slope != 0.0 else math.nan
+        done = False
+        if not (lo < xn < hi and abs(xn - x) <= 0.5 * step):
+            xn = 0.5 * (lo + hi)
+            done = hi - lo <= 8.0 * float(np.spacing(max(1.0, abs(lo), abs(hi))))
+        step = abs(xn - x)
+        if done:
+            return x
+        x = xn
+    return x if abs(at(fvec, x) - u) <= max(1e-9, 1e-9 * abs(u)) else math.nan

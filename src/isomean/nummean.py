@@ -83,8 +83,11 @@ def iso_weighted_mean(t: WeightedTuple, g: GeneratorMap) -> float:
     first = t.xs[0]
     if all(x == first for x in t.xs):
         return first
-    s = math.fsum(p * g(x) for x, p in zip(t.xs, t.ps))
-    return g.invert(s)
+    vs = g.value_many(np.array(t.xs))
+    bad = ~np.isfinite(vs)
+    if bad.any():
+        raise DomainError(f"map undefined at {t.xs[int(np.argmax(bad))]}")
+    return g.invert(math.fsum(p * v for p, v in zip(t.ps, vs.tolist())))
 
 
 def iso_mean(xs, g: GeneratorMap) -> float:

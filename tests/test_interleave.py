@@ -1,8 +1,12 @@
 """Smoke test of bench/interleave.py: one checkout against itself."""
 import json
+import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -18,3 +22,6 @@ def test_interleave_runs_two_rounds_of_one_checkout_against_itself():
     assert report["rounds"] == 2 and report["correct"] == [True, True]
     assert report["base_ops_per_s"] > 0 and report["change_ops_per_s"] > 0
     assert report["ratio_q1"] <= report["ratio_median"] <= report["ratio_q3"]
+    assert report["python"] == platform.python_version()
+    assert report["numpy"] == numpy.__version__
+    assert report["cpus"] == os.cpu_count()

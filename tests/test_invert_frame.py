@@ -12,7 +12,7 @@ from isomean._errors import DomainError, NonMonotoneError, NotBondedError, Inver
 from isomean.expr import const, differentiate, evaluate, mul, var
 from isomean.frame import estimate_range_hull, generator_map, make_frame
 from isomean.funmean import _log_map, class_I_mean, mean_problem
-from isomean.invert import _real_root, apply_steps, residual_ok, within
+from isomean.invert import _real_root, apply_steps, invert_monotone, residual_ok, within
 from isomean.intervals import Interval
 from isomean.parse import parse
 
@@ -719,10 +719,98 @@ def test_one_point_inversion_equals_the_array_engine_bit_for_bit(text, d, reject
     c = apply_steps(g._steps, us)
     rejected = ~(within(g.domain, c) & residual_ok(g._fvec(c), us))
     assert bool(rejected.any()) == rejects
-    for u in us.tolist():
-        want = float(g._preimages(np.array([u]))[0])
+    # all targets in one call, so the rejected ones take the array loop
+    for u, want in zip(us.tolist(), g._preimages(us).tolist()):
         if math.isnan(want):
             with pytest.raises(InversionError):
                 g.invert(u)
         else:
             assert _same_float(g.invert(u), want), u
+
+
+# -- one-point numeric inversion -----------------------------------------------
+
+NUMERIC_MAPS = (
+    ("x+exp(x)", Interval(0.0, 5.0)),
+    ("x^3+x", Interval(0.0, 5.0)),
+    ("sinh(x)", _HALF_LINE),
+    ("cosh(x)", _HALF_LINE),
+    ("x+ln(x)", _HALF_LINE),
+    ("x^3+x", _HALF_LINE),
+    ("exp(x)-exp(x)/2", _HALF_LINE),
+    ("exp(x)+x^3+x", Interval(-math.inf, math.inf)),
+    ("-x^3-x", Interval(-3.0, 2.0)),
+    ("sin(x)", Interval(0.05, 1.55)),
+    ("cos(x)", Interval(0.05, 1.55)),
+)
+
+
+@pytest.mark.parametrize("text, d", NUMERIC_MAPS, ids=[f"{m[0]} on {m[1]}" for m in NUMERIC_MAPS])
+def test_one_numeric_target_equals_the_array_loop_bit_for_bit(text, d):
+    # One target is solved in floats; many take the array loop.  Both must
+    # give the same float, and NaN on the array side is an InversionError.
+    g = generator_map(text, d)
+    assert g.inverse_strategy == "bracketed-numeric"
+    lo, hi = g.image.lo, g.image.hi
+    rng = np.random.default_rng(20241)
+    slack = lambda u: max(1e-9, 1e-9 * abs(u))
+    # inside the image: uniform over its part within ±100, and magnitudes
+    # up to 1e308 toward an infinite end
+    parts = [rng.uniform(max(lo, -100.0), min(hi, 100.0), 240)]
+    for end, is_open, sign in ((lo, g.image.lo_open, -1.0), (hi, g.image.hi_open, 1.0)):
+        if math.isinf(end):
+            parts.append(sign * 10.0 ** rng.uniform(2.0, 308.0, 60))
+            continue
+        # just inside the end, and at and past a closed end within the slack
+        parts.append(end - sign * rng.uniform(0.0, 1.0, 30) * slack(end))
+        if not is_open:
+            parts.append(end + sign * rng.uniform(0.0, 1.0, 30) * slack(end))
+            parts.append([end])
+    us = np.concatenate(parts)
+    many = g._preimages(us)
+    assert not np.isnan(many[: len(parts[0])]).any()
+    for u, want in zip(us.tolist(), many.tolist()):
+        if math.isnan(want):
+            with pytest.raises(InversionError):
+                g.invert(u)
+        else:
+            assert _same_float(g.invert(u), want), u
+
+
+def _quiet(f):
+    def view(xs):
+        with np.errstate(all="ignore"):
+            return f(np.asarray(xs, dtype=float))
+    return view
+
+
+# (domain, map, derivative) where the array loop divides by zero or meets NaN
+EDGE_VIEWS = {
+    # g′ = 0: every Newton step is ±inf, so every step bisects
+    "zero-derivative": (Interval(-1.0, 1.0), lambda x: x**3, lambda x: 0.0 * x),
+    # a jump no target inside it meets: bisection down to the 8-ulp
+    # collapse, or from 1e300 wide to the 200-step cap and its 1e-9 test
+    "jump": (Interval(-1e300, 1e300), lambda x: np.where(x > 0, 5e-10, -5e-10), lambda x: 0.0 * x),
+    # defined only near 0: a one-point ladder, whose bracket is flat
+    "middle-only": (Interval(-1.0, 1.0), lambda x: np.where(np.abs(x) < 0.1, x**3 + x, np.nan),
+                    lambda x: 3.0 * x**2 + 1.0),
+    # NaN values inside the bracket
+    "hole": (Interval(-1.0, 1.0), lambda x: np.where((x > 0.3) & (x < 0.31), np.nan, x**3 + x),
+             lambda x: 3.0 * x**2 + 1.0),
+    # integer steps: ladder values tie
+    "floor": (Interval(-10.0, 10.0), np.floor, lambda x: 0.0 * x),
+}
+
+
+@pytest.mark.parametrize("increasing", (True, False))
+@pytest.mark.parametrize("name", EDGE_VIEWS)
+def test_one_target_follows_the_array_loop_where_it_divides_by_zero(name, increasing):
+    d, f, df = EDGE_VIEWS[name]
+    sign = 1.0 if increasing else -1.0
+    fvec, dvec = _quiet(lambda x: sign * f(x)), _quiet(lambda x: sign * df(x))
+    us = np.concatenate([np.linspace(-2.0, 2.0, 41), [1e-10, 5e-13, 0.3 + 1e-11]])
+    for u in (sign * us).tolist():
+        # two copies of one target take the array loop, on the same ladder
+        one = invert_monotone(fvec, d, np.array([u]), increasing, dvec)[0]
+        two = invert_monotone(fvec, d, np.array([u, u]), increasing, dvec)[0]
+        assert _same_float(one, two) or (math.isnan(one) and math.isnan(two)), u

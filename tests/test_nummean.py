@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import isomean.expr as expr_mod
 from isomean import nummean
-from isomean._errors import ComparisonContradiction, WeightError
+from isomean._errors import ComparisonContradiction, DomainError, WeightError
 from isomean.classify import classify_convexity
 from isomean.frame import generator_map
 from isomean.intervals import Interval
@@ -87,6 +87,13 @@ def test_weighted_tuple_validation():
 # ---------------------------------------------------------------------------
 
 SIN_LOG_SWAP = 0.8603335890193797  # where the sin/log mean ordering flips
+
+
+def test_an_entry_whose_value_overflows_is_a_domain_error():
+    # sinh overflows past x ≈ 710, inside its half-line domain
+    g = generator_map("sinh(x)", Interval(0.0, math.inf, lo_open=True))
+    with pytest.raises(DomainError, match=r"map undefined at 800\.0$"):
+        iso_mean((1.0, 800.0, 900.0), g)
 
 
 def test_sine_vs_log_ordering_flips_at_the_known_point():
