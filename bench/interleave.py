@@ -16,7 +16,9 @@ figure perfbench reports as ``ops_per_s``), the median and quartiles of the
 per-round ratio CHANGE / BASE, and whether every result of each side passed
 perfbench's checks.  The last line of standard output is one JSON object
 with the same figures and the Python and NumPy versions and CPU count of
-the run.  ``perfbench/`` is only read.
+the run.  The exit status is 0 when both sides are correct and 1 when
+either is not; the figures are printed either way.  ``perfbench/`` is only
+read.
 """
 from __future__ import annotations
 
@@ -127,7 +129,7 @@ def main(argv=None) -> int:
         "numpy": numpy.__version__,
         "cpus": os.cpu_count(),
     }))
-    return 0
+    return 0 if all(correct) else 1
 
 
 if __name__ == "__main__":

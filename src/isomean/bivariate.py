@@ -33,7 +33,6 @@ from .classify import DEFAULT_SAMPLES, classify_monotonicity, sample_grid
 from .expr import (
     Expr,
     add,
-    as_scalar_fn,
     as_vector_fn,
     compile_numpy,
     const,
@@ -200,12 +199,15 @@ def _mean_value_point(fe: Expr, ge: Expr, ratio: Expr, a: float, b: float, d: In
             f"the derivative ratio is not strictly monotone on {d}, so the"
             f" Cauchy mean value does not exist uniquely: {exc}"
         ) from None
-    fv = as_scalar_fn(fe)
-    gv = as_scalar_fn(ge)
-    dg = gv(b) - gv(a)
+    ends = np.array([a, b])
+    fa, fb = compile_numpy(fe)(ends).tolist()
+    ga, gb = compile_numpy(ge)(ends).tolist()
+    if not all(map(math.isfinite, (fa, fb, ga, gb))):
+        raise DomainError(f"f or g is not finite at an end of {d}")
+    dg = gb - ga
     if dg == 0.0 or not math.isfinite(dg):
         raise PreconditionError("g takes equal (or non-finite) endpoint values")
-    secant = (fv(b) - fv(a)) / dg
+    secant = (fb - fa) / dg
     value = rm.invert(secant)
     return CauchyMean(
         value=value,

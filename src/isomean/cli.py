@@ -385,6 +385,8 @@ def cmd_sweep(spec: RunSpec) -> int:
         raise _UsageError("--target must be one of sigma_ge, stolarsky, mean")
     if not spec.sweeps:
         raise _UsageError("at least one --sweep axis is required")
+    if spec.tol is not None and spec.target != "mean":
+        raise _UsageError(f"--tol needs an error estimate, and {spec.target} rows carry none")
     allowed = _SWEEP_AXES[spec.target]
     for ax in spec.sweeps:
         if ax.name not in allowed:
@@ -423,6 +425,7 @@ def cmd_sweep(spec: RunSpec) -> int:
             if a is None or b is None:
                 raise _UsageError("mean sweeps need a and b, each swept or fixed")
             r = _class_mean(spec, _window(replace(spec, a=a, b=b)))
+            _check_tol(spec, r.abs_error_estimate)
             rows.append(
                 {"class": label, "f": fsrc, "a": a, "b": b, "value": r.value,
                  "err": r.abs_error_estimate, "method": r.method}
@@ -462,19 +465,19 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="isomean", description="Means of functions under coordinate-wise monotone changes of frame.")
     subs = parser.add_subparsers(dest="subcommand", metavar="subcommand")
 
-    def common(p, exprs=(), endpoints=True):
+    def common(p, exprs=(), tol=False):
         for name in exprs:
             p.add_argument(f"--{name}", dest=f"expr_{name}", metavar="EXPR")
-        if endpoints:
-            p.add_argument("--a", metavar="NUM")
-            p.add_argument("--b", metavar="NUM")
+        p.add_argument("--a", metavar="NUM")
+        p.add_argument("--b", metavar="NUM")
         p.add_argument("--format", default="plain", metavar="FMT", help="json, csv or plain")
-        p.add_argument("--tol", metavar="NUM", help="largest acceptable abs-error estimate (>= 1e-14)")
+        if tol:
+            p.add_argument("--tol", metavar="NUM", help="largest acceptable abs-error estimate (>= 1e-14)")
 
     p = subs.add_parser("mean", help="mean of a function over a window")
     p.add_argument("--class", dest="mean_class", required=True, metavar="CLASS",
                    help="I..VII, geometric, harmonic, elastic, or power:p")
-    common(p, exprs=("f", "g", "h"))
+    common(p, exprs=("f", "g", "h"), tol=True)
     p.add_argument("--open-a", action="store_true", help="treat endpoint a as excluded")
     p.add_argument("--open-b", action="store_true", help="treat endpoint b as excluded")
 
@@ -502,7 +505,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", metavar="NUM")
     p.add_argument("--q", metavar="NUM")
     p.add_argument("--r", metavar="NUM")
-    common(p, exprs=("f", "g", "h"))
+    common(p, exprs=("f", "g", "h"), tol=True)
 
     p = subs.add_parser("verify", help="run the built-in verification suite")
     p.add_argument("--only", metavar="GROUP", help=f"one of: {', '.join(GROUPS)}")

@@ -14,11 +14,13 @@ steps in evaluation order, each reading the slots of earlier ones.
 Structurally equal subtrees share a slot.  The program and the derivative
 are cached on the node.
 
-One loop, :func:`_run`, runs a program.  Negation, ``+``, ``-`` and ``*``
-are Python's operators; an op table supplies the elementary functions,
-``/`` and ``^``.  ``_SCALAR`` holds ``math`` for :func:`evaluate`, which
-raises on a domain error or a non-finite intermediate.  ``_ARRAY`` holds
-NumPy for :func:`compile_numpy`, where bad points come out NaN or inf.
+One loop, :func:`_run`, runs a program, and it has one arithmetic: NumPy.
+Negation, ``+``, ``-`` and ``*`` are the array operators; the op table
+``_OPS`` supplies the elementary functions, ``/`` and ``^``, and also folds
+constant nodes.  :func:`compile_numpy` runs the program on arrays, where
+bad points come out NaN or inf.  :func:`evaluate` runs it at one point, on a
+one-element array, and raises on a division by zero or a non-finite
+intermediate; where it returns, its value is the array view's.
 """
 
 from __future__ import annotations
@@ -187,23 +189,21 @@ def powx(a: Expr, b: Expr) -> Expr:
     if b.op == "const" and b.value == 1.0:
         return a
     if a.op == "const" and b.op == "const":
-        try:
-            return const(_SCALAR["pow"](a.value, b.value))
-        except (ValueError, OverflowError):
-            pass  # out of domain: keep the node, evaluation will raise
+        folded = _fold_const("pow", a.value, b.value)
+        if folded is not None:
+            return folded
     return Expr("pow", (a, b))
 
 
 def _unary(op: str) -> Callable[[Expr], Expr]:
     """The constructor of `op` nodes: a constant argument is folded through
-    the scalar table unless that leaves the domain."""
+    the op table unless that leaves the domain."""
 
     def build(a: Expr) -> Expr:
         if a.op == "const":
-            try:
-                return const(_SCALAR[op](a.value))
-            except (ValueError, OverflowError):
-                pass
+            folded = _fold_const(op, a.value)
+            if folded is not None:
+                return folded
         return Expr(op, (a,))
 
     build.__name__ = build.__qualname__ = op
@@ -271,12 +271,6 @@ def _cached(e: Expr, name: str, build):
 
 # -- the program ----------------------------------------------------------------
 
-def _scalar_div(a: float, b: float) -> float:
-    if b == 0.0:
-        raise ZeroDivisionError("division by zero")
-    return a / b
-
-
 def _array_pow(a, b):
     if isinstance(b, float):
         # A scalar exponent of 2, 0.5 or -1 sends NumPy to its square, sqrt
@@ -287,16 +281,19 @@ def _array_pow(a, b):
     return np.power(a, b)
 
 
-_SCALAR = {
-    "ln": math.log, "exp": math.exp, "sin": math.sin, "cos": math.cos,
-    "tan": math.tan, "sinh": math.sinh, "cosh": math.cosh, "abs": abs,
-    "sqrt": math.sqrt, "div": _scalar_div, "pow": math.pow, "strict": True,
-}
-_ARRAY = {
+_OPS = {
     "ln": np.log, "exp": np.exp, "sin": np.sin, "cos": np.cos,
     "tan": np.tan, "sinh": np.sinh, "cosh": np.cosh, "abs": np.abs,
-    "sqrt": np.sqrt, "div": np.divide, "pow": _array_pow, "strict": False,
+    "sqrt": np.sqrt, "div": np.divide, "pow": _array_pow,
 }
+
+
+@np.errstate(all="ignore")
+def _fold_const(op: str, *args: float):
+    """The constant node of op(*args) by the op table; None where the value
+    is not finite, so the node is kept and evaluating it raises."""
+    v = float(_OPS[op](*args))
+    return const(v) if math.isfinite(v) else None
 
 
 def _lower(root: Expr) -> tuple:
@@ -321,46 +318,48 @@ def _lower(root: Expr) -> tuple:
     return tuple(v for v, _ in const_slot), tuple(step_slot)
 
 
-def _run(prog: tuple, x, table: dict):
-    """Run a program at `x` with the functions of `table`; the root's value."""
+def _run(prog: tuple, x):
+    """Run a program at the array of points `x`; the root's value."""
     consts, steps = prog
-    strict = table["strict"]
     vals = [x, *consts]
     push = vals.append
     for op, i, j in steps:
         if j < 0:
-            push(-vals[i] if op == "neg" else table[op](vals[i]))
-            continue
-        if op == "add":
-            r = vals[i] + vals[j]
+            push(-vals[i] if op == "neg" else _OPS[op](vals[i]))
+        elif op == "add":
+            push(vals[i] + vals[j])
         elif op == "mul":
-            r = vals[i] * vals[j]
+            push(vals[i] * vals[j])
         elif op == "sub":
-            r = vals[i] - vals[j]
+            push(vals[i] - vals[j])
         else:
-            r = table[op](vals[i], vals[j])
-        if strict and not math.isfinite(r):
-            raise OverflowError("intermediate value not finite")
-        push(r)
+            push(_OPS[op](vals[i], vals[j]))
     return vals[-1]
-
-
-def evaluate(e: Expr, x: float) -> float:
-    """Evaluate `e` at the point `x`.
-
-    Returns a finite float or raises DomainError — never a silent NaN/inf.
-    """
-    try:
-        v = _run(_cached(e, "_prog", _lower), float(x), _SCALAR)
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise DomainError(f"evaluation failed at x={x}: {exc}") from exc
-    if not math.isfinite(v):
-        raise DomainError(f"evaluation left the finite domain at x={x}")
-    return v
 
 
 # As a decorator np.errstate costs about half of a with-block per call.
 _run_quietly = np.errstate(all="ignore")(_run)
+_run_strictly = np.errstate(all="raise", under="ignore")(_run)
+
+
+def evaluate(e: Expr, x: float) -> float:
+    """Evaluate `e` at the point `x`: the program run on the one-element
+    array [x], so a value it returns is the array view's value at x.
+
+    Returns a finite float or raises DomainError — never a silent NaN/inf.
+    A division by zero, an overflow or an invalid operation anywhere in the
+    program raises, even where the root's value would be finite, as in
+    exp(-exp(x)) at x = 1000; an underflow to zero does not.
+    """
+    try:
+        v = _run_strictly(_cached(e, "_prog", _lower), np.array([float(x)]))
+    except FloatingPointError as exc:
+        reason = "division by zero" if "divide by zero" in str(exc) else "intermediate value not finite"
+        raise DomainError(f"evaluation failed at x={x}: {reason}") from exc
+    v = float(v[0]) if np.ndim(v) else float(v)
+    if not math.isfinite(v):
+        raise DomainError(f"evaluation left the finite domain at x={x}")
+    return v
 
 
 def compile_numpy(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
@@ -375,7 +374,7 @@ def compile_numpy(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
 
     def compiled(x):
         arr = np.asarray(x, dtype=float)
-        out = run(prog, arr, _ARRAY)
+        out = run(prog, arr)
         if np.ndim(out) == 0:
             out = np.full_like(arr, float(out))
         return out
@@ -511,10 +510,10 @@ ExprLike = Union[Expr, Callable[[np.ndarray], np.ndarray]]
 
 
 def as_scalar_fn(f: ExprLike) -> Callable[[float], float]:
-    """Scalar view of an Expr, or the one-point call of an array callable."""
-    if isinstance(f, Expr):
-        return lambda x: evaluate(f, x)
-    return lambda x: float(np.asarray(f(np.array([float(x)])), dtype=float).reshape(-1)[0])
+    """The one-point call of :func:`as_vector_fn` (f): a float, NaN or
+    ±inf where f is undefined, never an error."""
+    fvec = as_vector_fn(f)
+    return lambda x: float(np.asarray(fvec(np.array([float(x)])), dtype=float).reshape(-1)[0])
 
 
 def as_vector_fn(f: ExprLike) -> Callable[[np.ndarray], np.ndarray]:

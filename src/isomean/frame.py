@@ -43,7 +43,7 @@ from .classify import (
     classify_monotonicity,
     sample_grid,
 )
-from .expr import Expr, as_vector_fn, compile_numpy, differentiate, evaluate
+from .expr import Expr, as_vector_fn, compile_numpy, differentiate
 from .intervals import Interval, hull
 from .invert import apply_steps, closed_form_steps, invert_monotone, residual_ok_at, within
 from .parse import parse
@@ -233,17 +233,6 @@ def _limit_toward(fvec, d: Interval, side: str) -> float:
     return vals[-1]
 
 
-def _end_value(expr: Expr, fvec, d: Interval, side: str) -> float:
-    """The map's value at a closed end of `d`, its limit toward an open one."""
-    x, is_open = (d.lo, d.lo_open) if side == "lo" else (d.hi, d.hi_open)
-    if is_open:
-        return _limit_toward(fvec, d, side)
-    try:
-        return evaluate(expr, x)
-    except DomainError:
-        raise DomainError(f"map undefined at the closed endpoint {x}") from None
-
-
 def _probe_points(d: Interval, n: int = 5):
     """`n` evenly spaced points strictly inside `d` pulled in by 1e-3."""
     box = d.clamp_inward(1e-3)
@@ -252,17 +241,13 @@ def _probe_points(d: Interval, n: int = 5):
 
 
 def _probe_inverse_expr(gm: "GeneratorMap", inv_expr: Expr) -> bool:
-    xs = _probe_points(gm.domain)
-    for x, u in zip(xs, gm._fvec(np.array(xs)).tolist()):
-        if not math.isfinite(u):
-            continue
-        try:
-            back = evaluate(inv_expr, u)
-        except DomainError:
-            return False
-        if abs(back - x) > 1e-9 * (1.0 + abs(x)):
-            return False
-    return True
+    """Whether `inv_expr` takes the map's finite values at the probe points
+    back to the points, to 1e-9 relative to 1 + |x|."""
+    xs = np.array(_probe_points(gm.domain))
+    us = gm._fvec(xs)
+    kept = np.isfinite(us)
+    back = compile_numpy(inv_expr)(us[kept])
+    return bool(np.all(np.abs(back - xs[kept]) <= 1e-9 * (1.0 + np.abs(xs[kept]))))
 
 
 def generator_map(source: Union[Expr, str], domain: Interval) -> GeneratorMap:
@@ -344,17 +329,10 @@ def _build_map(expr: Expr, domain: Interval) -> GeneratorMap:
         # A map undefined on part of the domain can come out "NonMonotone"
         # through its derivative (1/x exists on both sides of 0, ln does not),
         # so check definedness before blaming the shape.
-        for x in _probe_points(domain, 33):
-            try:
-                u = evaluate(expr, x)
-            except DomainError:
-                raise DomainError(
-                    f"map {expr} is undefined at x={x:.6g} inside {domain}"
-                ) from None
-            if not math.isfinite(u):
-                raise DomainError(
-                    f"map {expr} is not finite at x={x:.6g} inside {domain}"
-                )
+        xs = np.array(_probe_points(domain, 33))
+        bad = xs[~np.isfinite(compile_numpy(expr)(xs))]
+        if bad.size:
+            raise DomainError(f"map {expr} is undefined at x={bad[0]:.6g} inside {domain}")
         raise NonMonotoneError(
             f"map {expr} is {mono.kind} on {domain}"
             + (f" (witnesses {mono.witnesses})" if mono.witnesses else "")
@@ -371,9 +349,21 @@ def _build_map(expr: Expr, domain: Interval) -> GeneratorMap:
 def _on_window(expr: Expr, domain: Interval, mono: MonotonicityClass, fvec, dvec) -> GeneratorMap:
     """The map of verified shape `mono` on `domain`: its image from the
     closed ends' values or the open ends' limits, and its closed-form
-    inversion steps where they invert the map at the probe points."""
-    v_lo = _end_value(expr, fvec, domain, "lo")
-    v_hi = _end_value(expr, fvec, domain, "hi")
+    inversion steps where they invert the map at the probe points.  The
+    closed ends' values come from the same `fvec` call as the probe
+    points' values, so the image is made of the map's own values."""
+    xs = _probe_points(domain)
+    vals = fvec(np.array([*xs, domain.lo, domain.hi]))
+    us = vals[:-2]
+    ends = []
+    for side, x, is_open, v in (("lo", domain.lo, domain.lo_open, float(vals[-2])),
+                                ("hi", domain.hi, domain.hi_open, float(vals[-1]))):
+        if is_open:
+            v = _limit_toward(fvec, domain, side)
+        elif not math.isfinite(v):
+            raise DomainError(f"map undefined at the closed endpoint {x}")
+        ends.append(v)
+    v_lo, v_hi = ends
     if mono.is_strictly_increasing:
         img = Interval(v_lo, v_hi, domain.lo_open, domain.hi_open)
     else:
@@ -381,8 +371,6 @@ def _on_window(expr: Expr, domain: Interval, mono: MonotonicityClass, fvec, dvec
 
     steps = closed_form_steps(expr)
     if steps is not None:
-        xs = _probe_points(domain)
-        us = fvec(np.array(xs))
         back = apply_steps(steps, us).tolist()
         if not all(abs(bx - x) <= 1e-9 * (1.0 + abs(x))
                    for x, u, bx in zip(xs, us.tolist(), back) if math.isfinite(u)):

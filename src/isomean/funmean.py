@@ -208,11 +208,8 @@ def dvi_mean(problem: MeanProblem) -> MeanResult:
     """Evaluate the mean of the problem's function under its frame."""
     d = problem.fdomain
     g, h = problem.frame.g, problem.frame.h
-    fscal = as_scalar_fn(problem.f)
     if d.degenerate:
-        v = fscal(d.lo)
-        if not math.isfinite(v):
-            raise DomainError(f"function not evaluable at {d.lo}")
+        v = _value_at(problem.f, d.lo)
         return MeanResult(v, 0.0, "closed-form", {"range_hull": str(problem.range_hull)})
 
     a, b = d.lo, d.hi
@@ -249,6 +246,14 @@ def dvi_mean(problem: MeanProblem) -> MeanResult:
                 "the intermediate-value guarantee failed"
             )
     return MeanResult(value, err, method, detail)
+
+
+def _value_at(f, x: float) -> float:
+    """f at the point x; DomainError where it is not finite."""
+    v = as_scalar_fn(f)(x)
+    if not math.isfinite(v):
+        raise DomainError(f"function not evaluable at {x}")
+    return v
 
 
 def _end_limits(f, d: Interval) -> list:
@@ -350,9 +355,9 @@ def _value_map(source, f, fdomain: Interval) -> GeneratorMap:
     if source is None:
         return identity_map(Interval(lo, hi))
     source = _coerce_f(source)
-    fn = as_scalar_fn(source)
-    lo = lo if _finite_at(fn, lo) else m.lo
-    hi = hi if _finite_at(fn, hi) else m.hi
+    at_lo, at_hi = as_vector_fn(source)(np.array([lo, hi])).tolist()
+    lo = lo if math.isfinite(at_lo) else m.lo
+    hi = hi if math.isfinite(at_hi) else m.hi
     try:
         return generator_map(source, Interval(lo, hi))
     except DomainError:
@@ -362,13 +367,6 @@ def _value_map(source, f, fdomain: Interval) -> GeneratorMap:
         lo = lo if any(e <= m.lo for e in ends) else m.lo
         hi = hi if any(e >= m.hi for e in ends) else m.hi
         return generator_map(source, Interval(lo, hi))
-
-
-def _finite_at(fn, x: float) -> bool:
-    try:
-        return math.isfinite(fn(x))
-    except (ArithmeticError, DomainError):
-        return False
 
 
 def _framed_mean(f: FnLike, fdomain: Interval, g=None, h=None) -> MeanResult:
@@ -429,10 +427,9 @@ def class_VII_mean(f: FnLike, fdomain: Interval) -> MeanResult:
     ``f( ∫ x f'(x) dx / (f(b) − f(a)) )``.
     """
     f = _coerce_f(f)
-    fscal = as_scalar_fn(f)
     d = fdomain
     if d.degenerate:
-        return MeanResult(fscal(d.lo), 0.0, "closed-form", {})
+        return MeanResult(_value_at(f, d.lo), 0.0, "closed-form", {})
     F = generator_map(f, fdomain)
     a, b = d.lo, d.hi
 
@@ -452,12 +449,9 @@ def class_VII_mean(f: FnLike, fdomain: Interval) -> MeanResult:
     def finish(u: float, err: float):
         if not d.contains(u):
             raise DomainError(f"mean point {u} lies outside {d}")
-        return fscal(u), abs(F.derivative_at(u)) * err
+        return F(u), abs(F.derivative_at(u)) * err
 
-    value, err, method, detail = _direct_or_limit(quotient, finish, weight, a, b)
-    if not math.isfinite(value):
-        raise DomainError("mean point fell where f is not evaluable")
-    return MeanResult(value, err, method, detail)
+    return MeanResult(*_direct_or_limit(quotient, finish, weight, a, b))
 
 
 # ---------------------------------------------------------------------------

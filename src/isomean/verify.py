@@ -650,7 +650,7 @@ def _check_derivatives() -> CheckResult:
             fd = (fn(x + h) - fn(x - h)) / (2.0 * h)
             sym = de(float(x))
             r = abs(sym - fd) / max(1.0, abs(sym))
-            if r > worst:
+            if r > worst or math.isnan(r):  # a NaN (e undefined) stays the worst: the check fails
                 worst, worst_at = r, f"{src!r} at x={x:.3f}"
     return _bound("derivative-finite-difference", g, worst, 1e-6, f"worst for {worst_at}")
 

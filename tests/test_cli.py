@@ -486,6 +486,32 @@ def test_exit_usage_errors(run, argv):
     assert rc == 64
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compare", "--f", "x", "--g", "x", "--h", "x", "--G", "x", "--H", "x", "--a", "1", "--b", "2"),
+        ("stolarsky", "--p", "3e-9", "--q", "4.5e-9", "--a", "1.5", "--b", "7"),
+        ("cauchy", "--f", "x^2", "--g", "x", "--a", "1", "--b", "2"),
+        ("sweep", "--target", "sigma_ge", "--sweep", "r=1:2:2", "--p", "3"),
+        ("sweep", "--target", "stolarsky", "--sweep", "pq=1:3:3", "--a", "1", "--b", "2"),
+    ],
+)
+def test_tol_is_a_usage_error_where_no_estimate_is_reported(run, argv):
+    assert run(*argv)[0] == 0
+    rc, out, err = run(*argv, "--tol", "1e-14")
+    assert rc == 64 and out == ""
+    assert "--tol" in err
+
+
+def test_a_mean_sweep_checks_every_row_against_tol(run):
+    argv = ("sweep", "--target", "mean", "--class", "geometric", "--f", "tan(x)",
+            "--a", "0", "--sweep", "b=1.5:1.57:2")
+    assert run(*argv)[0] == 0
+    rc, out, err = run(*argv, "--tol", "1e-14")
+    assert rc == 3 and out == ""
+    assert "exceeds the requested --tol" in err
+
+
 def test_tight_tolerance_rejects_rough_results(run):
     # elastic tan is only known to about 2e-10; demand better and fail
     rc, _, err = run(

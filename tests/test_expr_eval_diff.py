@@ -26,6 +26,7 @@ from isomean.expr import (
 from isomean._errors import DomainError, PreconditionError
 from isomean.intervals import Interval
 from isomean.parse import parse
+from isomean.verify import _EXPR_CORPUS
 
 CORPUS = [
     "x^2",
@@ -62,7 +63,32 @@ def test_vector_and_scalar_evaluation_agree(source):
     xs = np.linspace(0.1, 2.5, 37)
     vec = as_vector_fn(e)(xs)
     scal = np.array([as_scalar_fn(e)(float(x)) for x in xs])
-    np.testing.assert_allclose(vec, scal, rtol=1e-15, atol=0.0)
+    np.testing.assert_array_equal(vec, scal)
+
+
+@pytest.mark.parametrize("source", _EXPR_CORPUS)
+def test_evaluate_is_the_program_at_one_point(source):
+    # Wherever evaluate returns, it returns the array view's value there,
+    # bit for bit; where it raises, the view's value is not finite or some
+    # intermediate overflowed, divided by zero or left the domain.
+    e = parse(source)
+    xs = np.random.default_rng(3).uniform(-30.0, 30.0, 400).tolist() + [0.0, -2.0, 710.0, 1e200]
+    returned = 0
+    for x in xs:
+        view = compile_numpy(e)(np.array([x]))[0]
+        try:
+            v = evaluate(e, x)
+        except DomainError:
+            continue
+        returned += 1
+        assert v == view, (source, x)
+    assert returned > 100
+
+
+def test_the_scalar_view_gives_nan_or_inf_where_f_is_undefined():
+    assert math.isnan(as_scalar_fn(parse("ln(x)"))(-1.0))
+    assert as_scalar_fn(parse("1/x"))(0.0) == math.inf
+    assert as_scalar_fn(np.exp)(1.0) == np.exp(np.array([1.0]))[0]
 
 
 def test_compile_numpy_returns_arrays():

@@ -194,6 +194,11 @@ class TestDegenerateWindows:
         assert r.method == "closed-form"
         assert r.abs_error_estimate == 0.0
 
+    @pytest.mark.parametrize("make", [plain_mean, class_VII_mean])
+    def test_a_point_where_f_is_undefined_is_a_domain_error(self, make):
+        with pytest.raises(DomainError):
+            make("ln(x)", Interval(-1.0, -1.0))
+
     def test_degenerate_bivariate_window(self):
         r = class_V_mean("x", "ln(y)", 3.0, 3.0)
         assert r.value == pytest.approx(3.0, rel=1e-14)

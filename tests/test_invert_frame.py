@@ -78,6 +78,19 @@ def test_image_matches_endpoint_values():
     assert dec.image.hi == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("source", ["sinh(x)", "cosh(x)", "exp(x)", "x^1.7"])
+def test_closed_image_ends_are_the_maps_own_values(source):
+    # The image is built from the map's array view, so each closed end is
+    # bit for bit the map's one-point value there.
+    rng = np.random.default_rng(7)
+    e = parse(source)
+    for _ in range(200):
+        lo = float(rng.uniform(0.05, 4.0))
+        hi = lo + float(rng.uniform(0.01, 4.0))
+        g = generator_map(e, Interval(lo, hi))
+        assert (g.image.lo, g.image.hi) == (g(lo), g(hi))
+
+
 @pytest.mark.parametrize(
     "source, domain, lo, hi",
     [
@@ -565,9 +578,9 @@ def test_a_sub_window_query_verifies_nothing(monotonicity_calls):
         lo, hi = 0.1 * k, 2.0 + 0.1 * k
         g = generator_map(e, Interval(lo, hi, lo_open=k % 2 == 1))
         assert g.increasing and g.inverse_strategy == "closed-form"
-        assert g.image.hi == math.exp(hi)
+        assert g.image.hi == evaluate(e, hi)
         if k % 2 == 0:
-            assert g.image.lo == math.exp(lo)
+            assert g.image.lo == evaluate(e, lo)
     assert monotonicity_calls == [1]
 
 
